@@ -19,7 +19,6 @@ use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId};
 use crate::stats::DtmStats;
 use crate::store::{NodeStore, ReadOutcome};
-use crate::substrate::SimSubstrate;
 use crate::txid::{NestingMode, TxId};
 
 /// What a transaction does when the object it requests is commit-locked.
@@ -357,7 +356,6 @@ impl ClusterInner {
 /// every object, plus the shared quorum view and statistics.
 pub struct Cluster {
     sim: Sim<Msg>,
-    sub: SimSubstrate<Msg>,
     pub(crate) inner: Rc<ClusterInner>,
 }
 
@@ -458,10 +456,8 @@ impl Cluster {
         }
         let amnesiac = RefCell::new(vec![false; cfg.nodes]);
         let retry_cap = cfg.overload.map_or(0, |o| o.retry_budget_cap);
-        let sub = SimSubstrate::new(sim.clone());
         Cluster {
             sim,
-            sub,
             inner: Rc::new(ClusterInner {
                 cfg,
                 quorum: RefCell::new(view),
@@ -484,13 +480,6 @@ impl Cluster {
     /// The underlying simulator (to spawn drivers, run, read metrics).
     pub fn sim(&self) -> &Sim<Msg> {
         &self.sim
-    }
-
-    /// The substrate hosting this cluster's engine (the sim world's
-    /// [`SimSubstrate`]; the engine itself is generic over
-    /// [`crate::substrate::Substrate`]).
-    pub fn substrate(&self) -> &SimSubstrate<Msg> {
-        &self.sub
     }
 
     /// Cluster configuration.
@@ -942,7 +931,7 @@ impl Cluster {
 
     /// Open a client bound to `node`; transactions it runs originate there.
     pub fn client(&self, node: NodeId) -> crate::engine::Client {
-        crate::engine::Client::new(self.sub.clone(), Rc::clone(&self.inner), node)
+        crate::engine::Client::new(self.sim.clone(), Rc::clone(&self.inner), node)
     }
 
     /// Start recording the committed history for [`Cluster::verify_history`].

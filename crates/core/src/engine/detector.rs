@@ -46,8 +46,6 @@ use std::rc::Rc;
 use qrdtm_sim::{Counter, EngineEventKind, HeartbeatConfig, NodeId, SimDuration, SimTime};
 
 use crate::cluster::Cluster;
-use crate::msg::Msg;
-use crate::substrate::{SimSubstrate, Substrate};
 
 /// Knobs of the failure detector and the transport robustness that rides
 /// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
@@ -145,15 +143,14 @@ pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
         move || sim.stop_heartbeats()
     });
     let cluster = Rc::clone(cluster);
-    let sub = cluster.substrate().clone();
     sim.spawn(async move {
         let mut st = DetectorState::new(cluster.config().nodes);
         loop {
-            sub.sleep(cfg.interval).await;
+            cluster.sim().sleep(cfg.interval).await;
             if stop.get() {
                 return;
             }
-            tick(&cluster, &sub, &cfg, &mut st);
+            tick(&cluster, &cfg, &mut st);
         }
     });
     handle
@@ -183,15 +180,15 @@ impl DetectorState {
     }
 }
 
-/// One detector evaluation over the current observation matrix. Clock,
-/// liveness and metrics go through the [`Substrate`] surface; only the
-/// heartbeat observation matrix is a sim-world extra.
-fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &mut DetectorState) {
+/// One detector evaluation over the simulator's heartbeat observation
+/// matrix.
+fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
+    let sim = cluster.sim();
     let nodes = cluster.config().nodes;
-    let now = sub.now();
+    let now = sim.now();
     let window = cfg.suspect_window();
     let fresh = |observer: NodeId, sender: NodeId| {
-        now.saturating_since(sub.sim().last_heartbeat(observer, sender)) <= window
+        now.saturating_since(sim.last_heartbeat(observer, sender)) <= window
     };
     let trusted: Vec<NodeId> = (0..nodes as u32)
         .map(NodeId)
@@ -216,11 +213,11 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
             continue;
         }
         st.suspected_at[n.index()] = now;
-        sub.bump(Counter::Suspicions);
-        if sub.is_alive(n) {
-            sub.bump(Counter::FalseSuspicions);
+        sim.bump(Counter::Suspicions);
+        if sim.is_alive(n) {
+            sim.bump(Counter::FalseSuspicions);
         }
-        sub.emit_engine_event(EngineEventKind::NodeSuspected, n, cluster.view_epoch());
+        sim.emit_engine_event(EngineEventKind::NodeSuspected, n, cluster.view_epoch());
     }
 
     // Rejoin: a view-dead node is back once some view-alive observer has
@@ -235,7 +232,7 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
         let heard = (0..nodes as u32)
             .map(NodeId)
             .filter(|&o| o != v && cluster.view_alive(o))
-            .map(|o| sub.sim().last_heartbeat(o, v))
+            .map(|o| sim.last_heartbeat(o, v))
             .max()
             .unwrap_or(SimTime::ZERO);
         // Strictly newer than the window also implies newer than the
@@ -244,8 +241,8 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
         if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= window {
             if let Ok(transfer) = cluster.rejoin_node(v) {
                 st.grace_until[v.index()] = now + transfer + window;
-                sub.bump(Counter::Rejoins);
-                sub.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
+                sim.bump(Counter::Rejoins);
+                sim.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
             }
         }
     }

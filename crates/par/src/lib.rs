@@ -1,13 +1,12 @@
 //! # qrdtm-par — a multi-threaded TL2 backend for the protocol surface
 //!
 //! Everything else in this workspace runs on the deterministic
-//! single-threaded simulator; this crate is the other half of the
-//! substrate split: a real multi-threaded in-process software
-//! transactional memory in the style of **TL2** (Dice, Shalev, Shavit,
-//! DISC 2006), sitting behind the same [`DtmProtocol`] trait the
-//! simulator protocols implement. Real OS threads run the generic
-//! workload bodies and exchange commit events with a collector thread
-//! over [`std::sync::mpsc`] channels.
+//! single-threaded simulator; this crate is the one exception: a real
+//! multi-threaded in-process software transactional memory in the style
+//! of **TL2** (Dice, Shalev, Shavit, DISC 2006), sitting behind the same
+//! [`DtmProtocol`] trait the simulator protocols implement. Real OS
+//! threads run the generic workload bodies and exchange commit events
+//! with a collector thread over [`std::sync::mpsc`] channels.
 //!
 //! * Striped per-object version locks (1024 `AtomicU64` words, lock bit +
 //!   write-version) and a global version clock implement TL2's

@@ -17,6 +17,12 @@ cargo fmt --all --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> figure artifacts (repro all reproduces results/ and results_full.txt byte for byte)"
+rm -rf target/results
+cargo run --quiet --release -p qrdtm-bench -- all --out target/results >target/results_full.txt
+diff -r results target/results
+diff results_full.txt target/results_full.txt
+
 echo "==> chaos smoke (fault injection + invariant checks, incl. qstore batch atomicity)"
 chaos_out=$(cargo run --quiet --release -p qrdtm-bench -- chaos --smoke)
 echo "$chaos_out"

@@ -2,7 +2,7 @@
 //!
 //! The engine used to decide "is this cost zero?" in two places (abort
 //! backoff and checkpoint-save cost); both now funnel through
-//! `Substrate::charge`, whose contract is that a zero cost schedules no
+//! `Sim::charge`, whose contract is that a zero cost schedules no
 //! timer event and draws no RNG — a zero-cost config replays the exact
 //! event order of a run that never charged at all. If someone
 //! reintroduces a `sleep(ZERO)` or an unconditional jitter draw on either
