@@ -222,7 +222,8 @@ fn chaos_usage() -> ! {
         "usage: repro chaos [--smoke] [--detector] [--amnesia] [--overload] \
          [--proto qr|qr-cn|qr-chk|tfa|decent|qstore|all] \
          [--seed S] [--seeds N] [--events N] [--nodes N] [--horizon-ms H] \
-         [--fig10 K] [--plan FILE] [--save-plan FILE]"
+         [--fig10 K] [--plan FILE] [--save-plan FILE]\n\
+         \x20      N >= 2 (>= 3 when qstore runs), H >= 1"
     );
     std::process::exit(2);
 }
@@ -267,6 +268,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
             "--save-plan" => a.save_plan = Some(PathBuf::from(val(&mut args))),
             _ => chaos_usage(),
         }
+    }
+    // Faults need two nodes to break things between, Q-Store a majority
+    // of at least two, and fault placement a nonempty horizon.
+    let qstore = a.protos.contains(&Proto::QStore);
+    if a.nodes < 2 || (qstore && a.nodes < 3) || a.horizon_ms == Some(0) {
+        chaos_usage();
     }
     a
 }

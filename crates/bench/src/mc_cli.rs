@@ -76,7 +76,8 @@ fn mc_usage() -> ! {
          [--objects K] [--txns T]\n\
          \x20               [--dfs N] [--pct N] \
          [--inject-bug skip-vote-check|skip-epoch-fence|skip-tag-check|ack-before-fsync] \
-         [--save-trace FILE]"
+         [--save-trace FILE]\n\
+         \x20      N >= 1 (>= 3 when qstore runs), K >= 2"
     );
     std::process::exit(2);
 }
@@ -117,6 +118,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
             "--save-trace" => a.save_trace = Some(PathBuf::from(val(&mut args))),
             _ => mc_usage(),
         }
+    }
+    // The quorum tree needs a node, Q-Store a majority of at least two,
+    // and a transfer two distinct objects.
+    let qstore = a.protos.contains(&McProto::QStore);
+    if a.nodes < 1 || (qstore && a.nodes < 3) || a.objects < 2 {
+        mc_usage();
     }
     a
 }
