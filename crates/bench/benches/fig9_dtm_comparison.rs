@@ -2,12 +2,14 @@
 //! samples each protocol at the 50/50 mix. Run `repro fig9` for the full
 //! node sweep at both mixes.
 
+use std::rc::Rc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
-use qrdtm_baselines::{DecentConfig, TfaConfig};
+use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_bench::quick;
-use qrdtm_core::NestingMode;
+use qrdtm_core::{Cluster, NestingMode};
 use qrdtm_sim::SimDuration;
-use qrdtm_workloads::{run_decent_bank, run_qr_bank, run_tfa_bank, BankSpec};
+use qrdtm_workloads::{run_bank, BankSpec};
 
 fn bank_spec() -> BankSpec {
     BankSpec {
@@ -23,30 +25,30 @@ fn bench_fig9(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig9_dtm_comparison");
     g.sample_size(10);
     g.bench_function("qr_dtm", |b| {
-        b.iter(|| run_qr_bank(quick::cfg(NestingMode::Flat), &bank_spec()))
+        b.iter(|| {
+            let cfg = quick::cfg(NestingMode::Flat);
+            let nodes = cfg.nodes;
+            run_bank(Rc::new(Cluster::new(cfg)), nodes, &bank_spec())
+        })
     });
     g.bench_function("hyflow_tfa", |b| {
         b.iter(|| {
-            run_tfa_bank(
-                TfaConfig {
-                    nodes: 13,
-                    seed: 42,
-                    ..Default::default()
-                },
-                &bank_spec(),
-            )
+            let cfg = TfaConfig {
+                nodes: 13,
+                seed: 42,
+                ..Default::default()
+            };
+            run_bank(Rc::new(TfaCluster::new(cfg)), 13, &bank_spec())
         })
     });
     g.bench_function("decent_stm", |b| {
         b.iter(|| {
-            run_decent_bank(
-                DecentConfig {
-                    nodes: 13,
-                    seed: 42,
-                    ..Default::default()
-                },
-                &bank_spec(),
-            )
+            let cfg = DecentConfig {
+                nodes: 13,
+                seed: 42,
+                ..Default::default()
+            };
+            run_bank(Rc::new(DecentCluster::new(cfg)), 13, &bank_spec())
         })
     });
     g.finish();

@@ -13,15 +13,16 @@ use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{
-    generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultEvent,
-    FaultKind, FaultPlan,
+    generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultPlan,
 };
 use qrdtm_core::{
     Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig,
 };
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
-use qrdtm_sim::SimDuration;
+use qrdtm_sim::{Metrics, SimDuration};
 use qrdtm_workloads::OpenLoopSpec;
+
+use crate::coverage::Coverage;
 
 /// One of the six protocol configurations the nemesis can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,119 +87,6 @@ impl Proto {
     fn supports_detector(self) -> bool {
         matches!(self, Proto::Qr | Proto::QrCn | Proto::QrChk | Proto::QStore)
     }
-
-    /// Build a fresh cluster and run `plan` against it. A new cluster per
-    /// run is what makes replays (and the shrinker's re-runs) exact.
-    /// `protect` arms the engine-side overload protections (admission
-    /// control, deadline-aware abort, retry budget) on the QR family;
-    /// the baselines and Q-Store have no engine knobs, so under overload
-    /// they rely on the driver-side queue bound and deadline abandon
-    /// alone.
-    fn run(
-        self,
-        nodes: usize,
-        seed: u64,
-        spec: &ChaosSpec,
-        plan: &FaultPlan,
-        durable: bool,
-        protect: bool,
-    ) -> ChaosReport {
-        let det = spec.detector;
-        match self {
-            Proto::Qr => run_plan(
-                qr(NestingMode::Flat, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
-            Proto::QrCn => run_plan(
-                qr(NestingMode::Closed, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
-            Proto::QrChk => run_plan(
-                qr(NestingMode::Checkpoint, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
-            Proto::Tfa => {
-                let cl = Rc::new(TfaCluster::new(TfaConfig {
-                    nodes,
-                    seed,
-                    ..Default::default()
-                }));
-                run_plan(cl, nodes, spec, plan)
-            }
-            Proto::Decent => {
-                let cl = Rc::new(DecentCluster::new(DecentConfig {
-                    nodes,
-                    seed,
-                    ..Default::default()
-                }));
-                run_plan(cl, nodes, spec, plan)
-            }
-            Proto::QStore => {
-                let mut cfg = QStoreConfig {
-                    nodes,
-                    seed,
-                    ..Default::default()
-                };
-                if det {
-                    // Oracle off: the heartbeat detector ejects a silent
-                    // planner and drives the successor's fenced takeover.
-                    cfg.detector = Some(DetectorConfig::default());
-                }
-                if durable {
-                    // Replicas append+fsync one batch record per epoch to
-                    // the simulated disk; crash-amnesia and corrupt-tail
-                    // faults become applicable.
-                    cfg.durability = Some(DurabilityConfig::default());
-                }
-                let cl = Rc::new(QStoreCluster::new(cfg));
-                run_plan(cl, nodes, spec, plan)
-            }
-        }
-    }
-}
-
-fn qr(
-    mode: NestingMode,
-    nodes: usize,
-    seed: u64,
-    detector: bool,
-    durable: bool,
-    protect: bool,
-) -> Rc<Cluster> {
-    let mut cfg = DtmConfig {
-        nodes,
-        mode,
-        seed,
-        ..Default::default()
-    };
-    if detector {
-        // Oracle off: the cluster self-heals via heartbeats. A tight RPC
-        // timeout keeps calls into not-yet-ejected dead nodes short
-        // relative to the suspicion window, so retries/hedging matter.
-        cfg.detector = Some(DetectorConfig::default());
-        cfg.rpc_timeout = Some(SimDuration::from_millis(100));
-    }
-    if durable {
-        // Replicas log to the simulated disk; crash-amnesia and
-        // corrupt-tail faults become applicable.
-        cfg.durability = Some(DurabilityConfig::default());
-        cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
-    }
-    if protect {
-        // Engine-side graceful degradation: per-node admission queues,
-        // deadline-aware early abort, retry budgets, hedge suppression.
-        // The tight RPC timeout makes retries (and thus the budget)
-        // matter under surge.
-        cfg.overload = Some(OverloadConfig::default());
-        cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
-    }
-    Rc::new(Cluster::new(cfg))
 }
 
 struct ChaosArgs {
@@ -340,7 +228,13 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
         a.fig10.map(|k| fig10_plan(k, spec.horizon))
     };
     println!("## chaos — randomized fault injection + invariant checking\n");
-    let mut failures = 0usize;
+    let mut suite = Suite {
+        nodes: a.nodes,
+        durable: a.amnesia,
+        protect: a.overload,
+        save_to: a.save_plan.clone(),
+        ..Suite::new("chaos", spec, &[], &[])
+    };
     for seed in a.seed..a.seed + a.seeds {
         for &proto in &a.protos {
             let budget = if a.overload {
@@ -353,32 +247,15 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
             };
             let plan = match &fixed_plan {
                 Some(p) => p.clone(),
-                None => generate(seed, a.nodes as u32, spec.horizon, &budget),
+                None => generate(seed, a.nodes as u32, suite.spec.horizon, &budget),
             };
             if let Some(path) = &a.save_plan {
                 save_plan(path, &plan, proto, seed, a.nodes);
             }
-            if !run_one(
-                proto,
-                seed,
-                a.nodes,
-                &spec,
-                &plan,
-                a.save_plan.as_deref(),
-                a.amnesia,
-                a.overload,
-            ) {
-                failures += 1;
-            }
+            suite.run(proto, seed, &plan);
         }
     }
-    if failures > 0 {
-        eprintln!("\nchaos: {failures} run(s) violated invariants");
-        1
-    } else {
-        println!("\nchaos: all invariants held");
-        0
-    }
+    suite.finish()
 }
 
 /// The paper's Fig. 10 crash schedule as a plan: `k` successive crashes of
@@ -401,66 +278,162 @@ fn save_plan(path: &std::path::Path, plan: &FaultPlan, proto: Proto, seed: u64, 
     }
 }
 
-/// Run one (protocol, seed, plan) scenario, print its report line and, on
-/// a violation, the shrunken reproducer. Returns whether invariants held.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    proto: Proto,
-    seed: u64,
+/// A counter a smoke suite sums over its runs: its name and how to read
+/// it from a run's metrics.
+type Counter = (&'static str, fn(&Metrics) -> u64);
+
+const DETECTOR_COUNTERS: [Counter; 5] = [
+    ("heartbeats_sent", |m| m.heartbeats_sent),
+    ("suspicions", |m| m.suspicions),
+    ("false_suspicions", |m| m.false_suspicions),
+    ("rpc_retries", |m| m.rpc_retries),
+    ("hedged_wins", |m| m.hedged_wins),
+];
+
+const RECOVERY_COUNTERS: [Counter; 4] = [
+    ("log_replays", |m| m.log_replays),
+    ("torn_tails", |m| m.torn_tails),
+    ("repair_rounds", |m| m.repair_rounds),
+    ("repaired_objects", |m| m.repaired_objects),
+];
+
+const OVERLOAD_COUNTERS: [Counter; 4] = [
+    ("admission_shed", |m| m.admission_shed),
+    ("deadline_aborts", |m| m.deadline_aborts),
+    ("retry_budget_exhausted", |m| m.retry_budget_exhausted),
+    ("client_retries", |m| m.client_retries),
+];
+
+/// A batch of chaos runs sharing one spec and fault mode: the main
+/// `repro chaos` loop or one smoke suite. It counts the runs that broke an
+/// invariant and the coverage a smoke suite must reach before it may
+/// pass: a minimum number of runs per protocol family, and counters that
+/// must each fire at least once.
+struct Suite {
+    name: &'static str,
+    spec: ChaosSpec,
     nodes: usize,
-    spec: &ChaosSpec,
-    plan: &FaultPlan,
-    save_to: Option<&std::path::Path>,
     durable: bool,
     protect: bool,
-) -> bool {
-    let r = proto.run(nodes, seed, spec, plan, durable, protect);
-    report_one(
-        proto, seed, nodes, spec, plan, save_to, durable, protect, &r,
-    )
+    /// Where to write a violating run's minimized plan.
+    save_to: Option<PathBuf>,
+    failures: usize,
+    counters: &'static [Counter],
+    coverage: Coverage,
 }
 
-/// Print the report line (and, on a violation, shrink to a minimal
-/// reproducer). Split from [`run_one`] so callers that need the raw
-/// [`ChaosReport`] (the detector smoke, for counter aggregation) can run
-/// the plan themselves.
-#[allow(clippy::too_many_arguments)]
-fn report_one(
-    proto: Proto,
-    seed: u64,
-    nodes: usize,
-    spec: &ChaosSpec,
-    plan: &FaultPlan,
-    save_to: Option<&std::path::Path>,
-    durable: bool,
-    protect: bool,
-    r: &ChaosReport,
-) -> bool {
-    println!(
-        "[{:<7} seed={seed} nodes={nodes}] {}",
-        proto.label(),
-        r.summary_line(),
-    );
-    if spec.detector {
-        let m = &r.metrics;
-        println!(
-            "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} \
-             retries={} hedged {}/{} wasted={}",
-            m.heartbeats_sent,
-            m.suspicions,
-            m.false_suspicions,
-            m.rejoins,
-            r.view_epoch,
-            m.rpc_retries,
-            m.hedged_wins,
-            m.hedged_calls,
-            m.wasted_replies,
-        );
+impl Suite {
+    /// A 10-node suite without fault modes.
+    fn new(
+        name: &'static str,
+        spec: ChaosSpec,
+        min_runs: &[(Proto, u64)],
+        counters: &'static [Counter],
+    ) -> Self {
+        let minimums = min_runs
+            .iter()
+            .map(|&(p, n)| (p.label(), n))
+            .chain(counters.iter().map(|&(name, _)| (name, 1)));
+        Suite {
+            name,
+            spec,
+            nodes: 10,
+            durable: false,
+            protect: false,
+            save_to: None,
+            failures: 0,
+            counters,
+            coverage: Coverage::new(minimums),
+        }
     }
-    {
+
+    /// `chaos --smoke`: the Q-Store arm must run at least once.
+    fn smoke() -> Self {
+        Suite::new(
+            "chaos smoke",
+            ChaosSpec::smoke(),
+            &[(Proto::QStore, 1)],
+            &[],
+        )
+    }
+
+    /// `chaos --smoke --detector`: every detector mechanism must fire.
+    fn detector() -> Self {
+        let spec = ChaosSpec {
+            detector: true,
+            ..ChaosSpec::smoke()
+        };
+        Suite::new("chaos detector smoke", spec, &[], &DETECTOR_COUNTERS)
+    }
+
+    /// `chaos --smoke --amnesia`: every recovery mechanism must fire, and
+    /// the durable Q-Store batch-WAL arm must run at least 20 times.
+    fn amnesia() -> Self {
+        Suite {
+            durable: true,
+            ..Suite::new(
+                "chaos amnesia smoke",
+                ChaosSpec::smoke(),
+                &[(Proto::QStore, 20)],
+                &RECOVERY_COUNTERS,
+            )
+        }
+    }
+
+    /// `chaos --smoke --overload`: every protection must fire, and each of
+    /// the six families must take at least 20 protected runs.
+    fn overload() -> Self {
+        let spec = ChaosSpec {
+            overload: Some(overload_traffic()),
+            // Families without engine-side admission control (the
+            // baselines and Q-Store run driver-side protection only)
+            // recover more slowly from a surge; a quarter of the pre-fault
+            // goodput is the graceful-degradation bar here, still an order
+            // of magnitude above the unprotected collapse the validation
+            // arm shows.
+            reconverge_factor_pct: 400,
+            ..ChaosSpec::smoke()
+        };
+        let six_families = ALL_PROTOS.map(|p| (p, 20));
+        Suite {
+            protect: true,
+            ..Suite::new(
+                "chaos overload smoke",
+                spec,
+                &six_families,
+                &OVERLOAD_COUNTERS,
+            )
+        }
+    }
+
+    /// Run `plan` on a fresh `proto` cluster, print its report line and
+    /// count the run. On a violation, also shrink the plan to a minimal
+    /// reproducer and print it.
+    fn run(&mut self, proto: Proto, seed: u64, plan: &FaultPlan) {
+        let (nodes, r) = (self.nodes, self.run_plan(proto, seed, plan));
+        println!(
+            "[{:<7} seed={seed} nodes={nodes}] {}",
+            proto.label(),
+            r.summary_line(),
+        );
+        let m = &r.metrics;
+        if self.spec.detector {
+            println!(
+                "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} \
+                 retries={} hedged {}/{} wasted={}",
+                m.heartbeats_sent,
+                m.suspicions,
+                m.false_suspicions,
+                m.rejoins,
+                r.view_epoch,
+                m.rpc_retries,
+                m.hedged_wins,
+                m.hedged_calls,
+                m.wasted_replies,
+            );
+        }
         // Recovery counters are zero unless an amnesiac restart actually
         // replayed a log and/or ran quorum repair — print only then.
-        let m = &r.metrics;
         if m.log_replays + m.torn_tails + m.repair_rounds + m.repaired_objects + m.repair_bytes > 0
         {
             println!(
@@ -469,34 +442,164 @@ fn report_one(
                 m.log_replays, m.torn_tails, m.repair_rounds, m.repaired_objects, m.repair_bytes,
             );
         }
+        self.count(Some(proto), m);
+        if r.ok() {
+            return;
+        }
+        self.failures += 1;
+        for v in &r.violations {
+            println!("    ! {v}");
+        }
+        println!(
+            "    shrinking the {}-event plan to a minimal reproducer...",
+            plan.len()
+        );
+        let min = shrink(plan, |cand| !self.run_plan(proto, seed, cand).ok());
+        println!("    minimized plan ({} event(s)):", min.len());
+        for line in min.to_text().lines() {
+            println!("      {line}");
+        }
+        if let Some(path) = &self.save_to {
+            save_plan(path, &min, proto, seed, nodes);
+            println!("    minimized plan written to {}", path.display());
+        }
+        println!(
+            "    repro: save the plan to FILE and run `repro chaos --proto {} --seed {seed} \
+             --nodes {nodes} --plan FILE` (fully deterministic)",
+            proto.label()
+        );
     }
-    if r.ok() {
-        return true;
+
+    /// Run `plan` on a fresh `proto` cluster built for this suite's spec
+    /// and fault modes. A new cluster per run is what makes replays (and
+    /// the shrinker's re-runs) exact.
+    fn run_plan(&self, proto: Proto, seed: u64, plan: &FaultPlan) -> ChaosReport {
+        let (nodes, spec) = (self.nodes, &self.spec);
+        match proto {
+            Proto::Qr => run_plan(self.qr(NestingMode::Flat, seed), nodes, spec, plan),
+            Proto::QrCn => run_plan(self.qr(NestingMode::Closed, seed), nodes, spec, plan),
+            Proto::QrChk => run_plan(self.qr(NestingMode::Checkpoint, seed), nodes, spec, plan),
+            Proto::Tfa => {
+                let cfg = TfaConfig {
+                    nodes,
+                    seed,
+                    ..Default::default()
+                };
+                run_plan(Rc::new(TfaCluster::new(cfg)), nodes, spec, plan)
+            }
+            Proto::Decent => {
+                let cfg = DecentConfig {
+                    nodes,
+                    seed,
+                    ..Default::default()
+                };
+                run_plan(Rc::new(DecentCluster::new(cfg)), nodes, spec, plan)
+            }
+            Proto::QStore => {
+                let mut cfg = QStoreConfig {
+                    nodes,
+                    seed,
+                    ..Default::default()
+                };
+                if spec.detector {
+                    // Oracle off: the heartbeat detector ejects a silent
+                    // planner and drives the successor's fenced takeover.
+                    cfg.detector = Some(DetectorConfig::default());
+                }
+                if self.durable {
+                    // Replicas append+fsync one batch record per epoch to
+                    // the simulated disk; crash-amnesia and corrupt-tail
+                    // faults become applicable.
+                    cfg.durability = Some(DurabilityConfig::default());
+                }
+                run_plan(Rc::new(QStoreCluster::new(cfg)), nodes, spec, plan)
+            }
+        }
     }
-    for v in &r.violations {
-        println!("    ! {v}");
+
+    /// A QR-family cluster in `mode`. `protect` arms the engine-side
+    /// overload protections (admission control, deadline-aware abort,
+    /// retry budget); the baselines and Q-Store have no engine knobs, so
+    /// under overload they rely on the driver-side queue bound and
+    /// deadline abandon alone.
+    fn qr(&self, mode: NestingMode, seed: u64) -> Rc<Cluster> {
+        let mut cfg = DtmConfig {
+            nodes: self.nodes,
+            mode,
+            seed,
+            ..Default::default()
+        };
+        if self.spec.detector {
+            // Oracle off: the cluster self-heals via heartbeats. A tight RPC
+            // timeout keeps calls into not-yet-ejected dead nodes short
+            // relative to the suspicion window, so retries/hedging matter.
+            cfg.detector = Some(DetectorConfig::default());
+            cfg.rpc_timeout = Some(SimDuration::from_millis(100));
+        }
+        if self.durable {
+            // Replicas log to the simulated disk; crash-amnesia and
+            // corrupt-tail faults become applicable.
+            cfg.durability = Some(DurabilityConfig::default());
+            cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
+        }
+        if self.protect {
+            // Engine-side graceful degradation: per-node admission queues,
+            // deadline-aware early abort, retry budgets, hedge suppression.
+            // The tight RPC timeout makes retries (and thus the budget)
+            // matter under surge.
+            cfg.overload = Some(OverloadConfig::default());
+            cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
+        }
+        Rc::new(Cluster::new(cfg))
     }
-    println!(
-        "    shrinking the {}-event plan to a minimal reproducer...",
-        plan.len()
-    );
-    let min = shrink(plan, |cand| {
-        !proto.run(nodes, seed, spec, cand, durable, protect).ok()
-    });
-    println!("    minimized plan ({} event(s)):", min.len());
-    for line in min.to_text().lines() {
-        println!("      {line}");
+
+    /// Count one run of `proto` (`None` for a run outside the six
+    /// families) and add its counters.
+    fn count(&mut self, proto: Option<Proto>, m: &Metrics) {
+        if let Some(p) = proto {
+            self.coverage.add(p.label(), 1);
+        }
+        for (name, read) in self.counters {
+            self.coverage.add(name, read(m));
+        }
     }
-    if let Some(path) = save_to {
-        save_plan(path, &min, proto, seed, nodes);
-        println!("    minimized plan written to {}", path.display());
+
+    /// Any coverage shortfall, each prefixed with the suite's name.
+    fn shortfalls(&self) -> Vec<String> {
+        let short = self.coverage.shortfalls();
+        short
+            .into_iter()
+            .map(|s| format!("{}: {s}", self.name))
+            .collect()
     }
-    println!(
-        "    repro: save the plan to FILE and run `repro chaos --proto {} --seed {seed} \
-         --nodes {nodes} --plan FILE` (fully deterministic)",
-        proto.label()
-    );
-    false
+
+    /// Print the coverage reached and the verdict; returns the exit code.
+    fn finish(self) -> i32 {
+        let coverage = self.coverage.summary();
+        if !coverage.is_empty() {
+            println!("\ncoverage: {coverage}");
+        }
+        let short = self.shortfalls();
+        for s in &short {
+            eprintln!("{s}");
+        }
+        if self.failures > 0 {
+            eprintln!(
+                "\n{}: {} run(s) violated invariants",
+                self.name, self.failures
+            );
+        }
+        if self.failures > 0 || !short.is_empty() {
+            return 1;
+        }
+        println!("\n{}: all invariants held", self.name);
+        0
+    }
+}
+
+/// A crafted smoke plan, written in the `--plan` text format.
+fn plan(text: &str) -> FaultPlan {
+    FaultPlan::parse(text).expect("smoke plans are well formed")
 }
 
 /// The fixed smoke suite `scripts/check.sh` runs: two seeds across all
@@ -505,44 +608,19 @@ fn report_one(
 /// the initial planner — the successor must replan, and the batch
 /// atomicity checker must stay clean).
 fn smoke() -> i32 {
-    let spec = ChaosSpec::smoke();
+    let mut suite = Suite::smoke();
     println!("## chaos --smoke — 2 seeds x 6 protocols + fig10 + planner-failover\n");
-    let mut ok = true;
     for seed in 1..=2u64 {
         for proto in ALL_PROTOS {
-            let plan = generate(seed, 10, spec.horizon, &proto.budget(5, false));
-            ok &= run_one(proto, seed, 10, &spec, &plan, None, false, false);
+            let plan = generate(seed, 10, suite.spec.horizon, &proto.budget(5, false));
+            suite.run(proto, seed, &plan);
         }
     }
-    let fig10 = fig10_plan(3, spec.horizon);
-    ok &= run_one(Proto::QrCn, 3, 10, &spec, &fig10, None, false, false);
-    let planner_failover = FaultPlan::new(vec![
-        FaultEvent {
-            at: SimDuration::from_millis(400),
-            kind: FaultKind::Crash { node: 0 },
-        },
-        FaultEvent {
-            at: SimDuration::from_millis(1_200),
-            kind: FaultKind::Recover { node: 0 },
-        },
-    ]);
-    ok &= run_one(
-        Proto::QStore,
-        3,
-        10,
-        &spec,
-        &planner_failover,
-        None,
-        false,
-        false,
-    );
-    if ok {
-        println!("\nchaos smoke: all invariants held");
-        0
-    } else {
-        eprintln!("\nchaos smoke: invariant violations found");
-        1
-    }
+    let fig10 = fig10_plan(3, suite.spec.horizon);
+    suite.run(Proto::QrCn, 3, &fig10);
+    let planner_failover = plan("@400000us crash 0\n@1200000us recover 0");
+    suite.run(Proto::QStore, 3, &planner_failover);
+    suite.finish()
 }
 
 /// The detector-mode smoke suite (`scripts/check.sh` stage 2): the oracle
@@ -551,138 +629,46 @@ fn smoke() -> i32 {
 /// false suspicion (an isolated-but-alive node) and gray slowness, and
 /// the aggregated counters prove each mechanism actually fired.
 fn detector_smoke() -> i32 {
-    let spec = ChaosSpec {
-        detector: true,
-        ..ChaosSpec::smoke()
-    };
-    let ms = SimDuration::from_millis;
-    let crash_heal = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Crash { node: 1 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 1 },
-        },
-    ]);
-    let isolate = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Partition {
-                groups: vec![vec![2], vec![0, 1, 3, 4, 5, 6, 7, 8, 9]],
-            },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Heal,
-        },
-    ]);
-    let slow = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Slow {
-                node: 3,
-                factor_pct: 2_000,
-            },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Restore { node: 3 },
-        },
-    ]);
-    let plans: [(&str, &FaultPlan); 3] = [
-        ("crash+heal", &crash_heal),
-        ("isolate-alive", &isolate),
-        ("slow-node", &slow),
+    let mut suite = Suite::detector();
+    let plans = [
+        (
+            "crash+heal",
+            plan("@300000us crash 1\n@1100000us recover 1"),
+        ),
+        (
+            "isolate-alive",
+            plan("@300000us partition 2|0,1,3,4,5,6,7,8,9\n@1100000us heal"),
+        ),
+        (
+            "slow-node",
+            plan("@300000us slow 3 2000\n@1400000us restore 3"),
+        ),
     ];
     println!("## chaos --smoke --detector — oracle off, detector in charge\n");
-    let mut ok = true;
-    let (mut hb, mut susp, mut false_susp, mut retries, mut hedged) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
     for seed in 1..=2u64 {
-        for (name, plan) in plans {
+        for (name, plan) in &plans {
             println!("plan: {name}");
             for proto in [Proto::QrCn, Proto::Qr] {
-                let r = proto.run(10, seed, &spec, plan, false, false);
-                ok &= report_one(proto, seed, 10, &spec, plan, None, false, false, &r);
-                hb += r.metrics.heartbeats_sent;
-                susp += r.metrics.suspicions;
-                false_susp += r.metrics.false_suspicions;
-                retries += r.metrics.rpc_retries;
-                hedged += r.metrics.hedged_wins;
+                suite.run(proto, seed, plan);
             }
         }
     }
     // Random full-vocabulary plans on top, so generated crash/partition
     // schedules also go through the detector path.
     for seed in 1..=2u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::full(5));
-        let r = Proto::QrChk.run(10, seed, &spec, &plan, false, false);
-        ok &= report_one(Proto::QrChk, seed, 10, &spec, &plan, None, false, false, &r);
-        hb += r.metrics.heartbeats_sent;
-        susp += r.metrics.suspicions;
-        false_susp += r.metrics.false_suspicions;
-        retries += r.metrics.rpc_retries;
-        hedged += r.metrics.hedged_wins;
+        let plan = generate(seed, 10, suite.spec.horizon, &FaultBudget::full(5));
+        suite.run(Proto::QrChk, seed, &plan);
     }
     // Q-Store keeps a reconfigurable planner view: a silently crashed
     // planner (node 0) must be suspected and ejected by the heartbeat
     // detector, the successor takes over behind a view-epoch fence, and
     // the old planner rejoins as an ordinary replica once it heals.
-    let planner_crash = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Crash { node: 0 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 0 },
-        },
-    ]);
+    let planner_crash = plan("@300000us crash 0\n@1100000us recover 0");
     for seed in 1..=2u64 {
         println!("plan: planner-crash (batching family)");
-        let r = Proto::QStore.run(10, seed, &spec, &planner_crash, false, false);
-        ok &= report_one(
-            Proto::QStore,
-            seed,
-            10,
-            &spec,
-            &planner_crash,
-            None,
-            false,
-            false,
-            &r,
-        );
-        hb += r.metrics.heartbeats_sent;
-        susp += r.metrics.suspicions;
-        false_susp += r.metrics.false_suspicions;
-        retries += r.metrics.rpc_retries;
-        hedged += r.metrics.hedged_wins;
+        suite.run(Proto::QStore, seed, &planner_crash);
     }
-    println!(
-        "\naggregate: heartbeats={hb} suspicions={susp} false_suspicions={false_susp} \
-         rpc_retries={retries} hedged_wins={hedged}"
-    );
-    for (counter, v) in [
-        ("heartbeats_sent", hb),
-        ("suspicions", susp),
-        ("false_suspicions", false_susp),
-        ("rpc_retries", retries),
-        ("hedged_wins", hedged),
-    ] {
-        if v == 0 {
-            eprintln!("detector smoke: counter {counter} never fired");
-            ok = false;
-        }
-    }
-    if ok {
-        println!("\nchaos detector smoke: all invariants held, all mechanisms fired");
-        0
-    } else {
-        eprintln!("\nchaos detector smoke: FAILED");
-        1
-    }
+    suite.finish()
 }
 
 /// The durability smoke suite (`scripts/check.sh` stage 3): durable QR
@@ -701,74 +687,41 @@ fn detector_smoke() -> i32 {
 /// whole), census the quorum-acked epoch frontier and pull what they
 /// lost — with the batch-atomicity and durability checkers watching.
 fn amnesia_smoke() -> i32 {
-    let spec = ChaosSpec::smoke();
-    let ms = SimDuration::from_millis;
-    let torn_restart = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(400),
-            kind: FaultKind::CorruptTail { node: 2 },
-        },
-        FaultEvent {
-            at: ms(400),
-            kind: FaultKind::CrashAmnesia { node: 2 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 2 },
-        },
-    ]);
-    let double_amnesia = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::CrashAmnesia { node: 1 },
-        },
-        FaultEvent {
-            at: ms(800),
-            kind: FaultKind::Recover { node: 1 },
-        },
-        FaultEvent {
-            at: ms(1_000),
-            kind: FaultKind::CorruptTail { node: 4 },
-        },
-        FaultEvent {
-            at: ms(1_000),
-            kind: FaultKind::CrashAmnesia { node: 4 },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Recover { node: 4 },
-        },
-    ]);
-    let plans: [(&str, &FaultPlan); 2] = [
-        ("torn-restart", &torn_restart),
-        ("double-amnesia", &double_amnesia),
+    let mut suite = Suite::amnesia();
+    let plans = [
+        (
+            "torn-restart",
+            plan(
+                "@400000us corrupt-tail 2
+                 @400000us crash-amnesia 2
+                 @1100000us recover 2",
+            ),
+        ),
+        (
+            "double-amnesia",
+            plan(
+                "@300000us crash-amnesia 1
+                 @800000us recover 1
+                 @1000000us corrupt-tail 4
+                 @1000000us crash-amnesia 4
+                 @1400000us recover 4",
+            ),
+        ),
     ];
     println!("## chaos --smoke --amnesia — durable replicas, amnesiac restarts\n");
-    let mut ok = true;
-    let (mut replays, mut torn, mut rounds, mut repaired) = (0u64, 0u64, 0u64, 0u64);
-    let mut tally = |r: &ChaosReport| {
-        replays += r.metrics.log_replays;
-        torn += r.metrics.torn_tails;
-        rounds += r.metrics.repair_rounds;
-        repaired += r.metrics.repaired_objects;
-    };
     for seed in 1..=3u64 {
-        for (name, plan) in plans {
+        for (name, plan) in &plans {
             println!("plan: {name}");
             for proto in [Proto::QrCn, Proto::Qr] {
-                let r = proto.run(10, seed, &spec, plan, true, false);
-                ok &= report_one(proto, seed, 10, &spec, plan, None, true, false, &r);
-                tally(&r);
+                suite.run(proto, seed, plan);
             }
         }
     }
     // Random durable-budget plans on top, so generated amnesia schedules
     // (mixed with partitions, drops and slowdowns) also get coverage.
     for seed in 1..=3u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = Proto::QrChk.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QrChk, seed, 10, &spec, &plan, None, true, false, &r);
-        tally(&r);
+        let plan = generate(seed, 10, suite.spec.horizon, &FaultBudget::durable(5));
+        suite.run(Proto::QrChk, seed, &plan);
     }
     // Q-Store: twenty seeds of torn batch tails + amnesiac restarts. The
     // victim replica rotates with the seed so the tear lands on different
@@ -778,62 +731,22 @@ fn amnesia_smoke() -> i32 {
     println!("\nbatch WAL (qstore): torn tails + planner amnesia across 20 seeds");
     for seed in 1..=20u64 {
         let victim = 1 + (seed % 9) as u32;
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: ms(400),
-                kind: FaultKind::CorruptTail { node: victim },
-            },
-            FaultEvent {
-                at: ms(400),
-                kind: FaultKind::CrashAmnesia { node: victim },
-            },
-            FaultEvent {
-                at: ms(700),
-                kind: FaultKind::CrashAmnesia { node: 0 },
-            },
-            FaultEvent {
-                at: ms(1_000),
-                kind: FaultKind::Recover { node: victim },
-            },
-            FaultEvent {
-                at: ms(1_200),
-                kind: FaultKind::Recover { node: 0 },
-            },
-        ]);
-        let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
-        tally(&r);
+        let batch_tear = plan(&format!(
+            "@400000us corrupt-tail {victim}
+             @400000us crash-amnesia {victim}
+             @700000us crash-amnesia 0
+             @1000000us recover {victim}
+             @1200000us recover 0"
+        ));
+        suite.run(Proto::QStore, seed, &batch_tear);
     }
     // And generated durable-budget plans for breadth on the batching
     // family too.
     for seed in 1..=3u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
-        tally(&r);
+        let plan = generate(seed, 10, suite.spec.horizon, &FaultBudget::durable(5));
+        suite.run(Proto::QStore, seed, &plan);
     }
-    println!(
-        "\naggregate: log_replays={replays} torn_tails={torn} repair_rounds={rounds} \
-         repaired_objects={repaired}"
-    );
-    for (counter, v) in [
-        ("log_replays", replays),
-        ("torn_tails", torn),
-        ("repair_rounds", rounds),
-        ("repaired_objects", repaired),
-    ] {
-        if v == 0 {
-            eprintln!("amnesia smoke: counter {counter} never fired");
-            ok = false;
-        }
-    }
-    if ok {
-        println!("\nchaos amnesia smoke: all invariants held, recovery machinery fired");
-        0
-    } else {
-        eprintln!("\nchaos amnesia smoke: FAILED");
-        1
-    }
+    suite.finish()
 }
 
 /// The open-loop traffic shape for overload runs: arrivals keep coming at
@@ -861,25 +774,8 @@ fn overload_traffic() -> OpenLoopSpec {
 /// the checker has to be able to catch the failure mode it guards against.
 fn overload_smoke() -> i32 {
     let ms = SimDuration::from_millis;
-    let spec = ChaosSpec {
-        overload: Some(overload_traffic()),
-        // Families without engine-side admission control (the baselines
-        // and Q-Store run driver-side protection only) recover more
-        // slowly from a surge; a quarter of the pre-fault goodput is the
-        // graceful-degradation bar here, still an order of magnitude
-        // above the unprotected collapse the validation arm below shows.
-        reconverge_factor_pct: 400,
-        ..ChaosSpec::smoke()
-    };
+    let mut suite = Suite::overload();
     println!("## chaos --smoke --overload — open-loop traffic, surges + gray faults\n");
-    let mut ok = true;
-    let (mut shed, mut deadlines, mut exhausted, mut retries) = (0u64, 0u64, 0u64, 0u64);
-    let mut tally = |r: &ChaosReport| {
-        shed += r.metrics.admission_shed;
-        deadlines += r.metrics.deadline_aborts;
-        exhausted += r.metrics.retry_budget_exhausted;
-        retries += r.metrics.client_retries;
-    };
     // Twenty seeds across all six families under generated overload plans
     // (a surge, a flash crowd, a slow node and a latency spike, each
     // paired with its cure). The QR family runs with the engine-side
@@ -887,10 +783,8 @@ fn overload_smoke() -> i32 {
     // and rely on the driver-side queue bound and deadline abandon alone.
     for seed in 1..=20u64 {
         for proto in ALL_PROTOS {
-            let plan = generate(seed, 10, spec.horizon, &FaultBudget::overload(4));
-            let r = proto.run(10, seed, &spec, &plan, false, true);
-            ok &= report_one(proto, seed, 10, &spec, &plan, None, false, true, &r);
-            tally(&r);
+            let plan = generate(seed, 10, suite.spec.horizon, &FaultBudget::overload(4));
+            suite.run(proto, seed, &plan);
         }
     }
     // Budget pressure: a cap-4 retry budget with no per-commit refill —
@@ -900,27 +794,12 @@ fn overload_smoke() -> i32 {
     // and the drip must be enough for the run to work itself back to
     // health once the faults clear.
     println!("\nbudget pressure: cap-4 retry budget, drip-only refill, 20x slow node + surge");
-    let slow_surge = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Slow {
-                node: 3,
-                factor_pct: 2_000,
-            },
-        },
-        FaultEvent {
-            at: ms(500),
-            kind: FaultKind::Surge { factor_pct: 400 },
-        },
-        FaultEvent {
-            at: ms(1_200),
-            kind: FaultKind::Calm,
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Restore { node: 3 },
-        },
-    ]);
+    let slow_surge = plan(
+        "@300000us slow 3 2000
+         @500000us surge 400
+         @1200000us calm
+         @1400000us restore 3",
+    );
     for seed in 1..=3u64 {
         let cl = Rc::new(Cluster::new(DtmConfig {
             nodes: 10,
@@ -935,13 +814,13 @@ fn overload_smoke() -> i32 {
             }),
             ..Default::default()
         }));
-        let r = run_plan(cl, 10, &spec, &slow_surge);
+        let r = run_plan(cl, 10, &suite.spec, &slow_surge);
         println!("[qr-budget seed={seed} nodes=10] {}", r.summary_line());
         for v in &r.violations {
             println!("    ! {v}");
-            ok = false;
         }
-        tally(&r);
+        suite.failures += usize::from(!r.ok());
+        suite.count(None, &r.metrics);
     }
     // Checker validation: the same surge with every protection off — no
     // admission control, no shedding, no deadline abandon — builds a
@@ -949,26 +828,18 @@ fn overload_smoke() -> i32 {
     // zero. The metastability checker must flag it; if it cannot catch
     // the failure mode it guards against, the green runs above prove
     // nothing.
-    let unprotected = ChaosSpec {
+    let spec = ChaosSpec {
         overload: Some(OpenLoopSpec {
             protect: false,
             ..overload_traffic()
         }),
         ..ChaosSpec::smoke()
     };
-    let surge_only = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(600),
-            kind: FaultKind::Surge { factor_pct: 600 },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Calm,
-        },
-    ]);
+    let unprotected = Suite::new("unprotected", spec, &[], &[]);
+    let surge_only = plan("@600000us surge 600\n@1400000us calm");
     println!("\nchecker validation: unprotected surge must go metastable");
     for seed in 1..=3u64 {
-        let r = Proto::Qr.run(10, seed, &unprotected, &surge_only, false, false);
+        let r = unprotected.run_plan(Proto::Qr, seed, &surge_only);
         let meta = r
             .violations
             .iter()
@@ -980,31 +851,84 @@ fn overload_smoke() -> i32 {
         );
         if !meta {
             eprintln!("overload smoke: metastability checker missed an unprotected surge");
-            ok = false;
+            suite.failures += 1;
         }
     }
-    println!(
-        "\naggregate: admission_shed={shed} deadline_aborts={deadlines} \
-         retry_budget_exhausted={exhausted} client_retries={retries}"
-    );
-    for (counter, v) in [
-        ("admission_shed", shed),
-        ("deadline_aborts", deadlines),
-        ("retry_budget_exhausted", exhausted),
-        ("client_retries", retries),
-    ] {
-        if v == 0 {
-            eprintln!("overload smoke: counter {counter} never fired");
-            ok = false;
-        }
+    suite.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Metrics in which every counter a suite sums has fired once.
+    fn all_fired() -> Metrics {
+        let mut m = Metrics::default();
+        m.heartbeats_sent = 1;
+        m.suspicions = 1;
+        m.false_suspicions = 1;
+        m.rpc_retries = 1;
+        m.hedged_wins = 1;
+        m.log_replays = 1;
+        m.torn_tails = 1;
+        m.repair_rounds = 1;
+        m.repaired_objects = 1;
+        m.admission_shed = 1;
+        m.deadline_aborts = 1;
+        m.retry_budget_exhausted = 1;
+        m.client_retries = 1;
+        m
     }
-    if ok {
-        println!(
-            "\nchaos overload smoke: all invariants held, no retry storms, goodput reconverged"
+
+    /// `suite`'s shortfalls after each `(proto, n)`'s `n` runs, every
+    /// counter firing on each run.
+    fn after(mut suite: Suite, runs: &[(Proto, u64)]) -> Vec<String> {
+        for &(proto, n) in runs {
+            for _ in 0..n {
+                suite.count(Some(proto), &all_fired());
+            }
+        }
+        suite.shortfalls()
+    }
+
+    #[test]
+    fn each_smoke_fails_below_its_run_minimum() {
+        let smoke = |runs: &[(Proto, u64)]| after(Suite::smoke(), runs);
+        assert_eq!(
+            smoke(&[(Proto::Qr, 12)]),
+            ["chaos smoke: qstore reached 0, needs at least 1"]
         );
-        0
-    } else {
-        eprintln!("\nchaos overload smoke: FAILED");
-        1
+        assert!(smoke(&[(Proto::QStore, 1)]).is_empty());
+
+        assert!(
+            Suite::amnesia().durable,
+            "every amnesia smoke run is durable"
+        );
+        let amnesia = |runs: &[(Proto, u64)]| after(Suite::amnesia(), runs);
+        assert_eq!(
+            amnesia(&[(Proto::QStore, 19)]),
+            ["chaos amnesia smoke: qstore reached 19, needs at least 20"]
+        );
+        assert!(amnesia(&[(Proto::QStore, 20)]).is_empty());
+
+        let mut families = ALL_PROTOS.map(|p| (p, 20));
+        assert!(after(Suite::overload(), &families).is_empty());
+        families[4] = (Proto::Decent, 19);
+        assert_eq!(
+            after(Suite::overload(), &families),
+            ["chaos overload smoke: decent reached 19, needs at least 20"]
+        );
+    }
+
+    #[test]
+    fn a_counter_that_never_fired_fails_its_suite() {
+        let mut suite = Suite::detector();
+        let mut m = all_fired();
+        m.false_suspicions = 0;
+        suite.count(None, &m);
+        assert_eq!(
+            suite.shortfalls(),
+            ["chaos detector smoke: false_suspicions reached 0, needs at least 1"]
+        );
     }
 }

@@ -6,17 +6,15 @@
 //! the `repro` binary prints and the Criterion benches sample.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use qrdtm_baselines::{DecentConfig, TfaConfig};
-use qrdtm_core::{DtmConfig, LatencySpec, NestingMode};
-use qrdtm_qstore::QStoreConfig;
+use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
+use qrdtm_core::{Cluster, DtmConfig, LatencySpec, NestingMode};
+use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::SimDuration;
-use qrdtm_workloads::{
-    run, run_decent_bank, run_qr_bank, run_qstore_bank, run_tfa_bank, BankSpec, Benchmark,
-    RunResult, RunSpec, WorkloadParams,
-};
+use qrdtm_workloads::{run, run_bank, BankSpec, Benchmark, RunResult, RunSpec, WorkloadParams};
 
 /// Base RNG seed for every experiment (results are deterministic given it).
 pub const SEED: u64 = 42;
@@ -419,73 +417,48 @@ pub fn fig9(quick: bool) -> Figure {
         }
     }
     let accounts = 48u64;
-    let results = parallel_map(jobs.clone(), |(mix, n, proto)| match proto {
-        0 => {
-            let mut cfg = paper_cfg(NestingMode::Flat);
-            cfg.nodes = n;
-            let r = run_qr_bank(
-                cfg,
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        1 => {
-            let r = run_tfa_bank(
-                TfaConfig {
+    let results = parallel_map(jobs.clone(), |(mix, n, proto)| {
+        let spec = BankSpec {
+            accounts,
+            read_pct: mix,
+            warmup,
+            duration,
+            clients_per_node: 1,
+        };
+        let r = match proto {
+            0 => {
+                let cfg = DtmConfig {
+                    nodes: n,
+                    ..paper_cfg(NestingMode::Flat)
+                };
+                run_bank(Rc::new(Cluster::new(cfg)), n, &spec)
+            }
+            1 => {
+                let cfg = TfaConfig {
                     nodes: n,
                     seed: SEED,
                     ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        2 => {
-            let r = run_decent_bank(
-                DecentConfig {
+                };
+                run_bank(Rc::new(TfaCluster::new(cfg)), n, &spec)
+            }
+            2 => {
+                let cfg = DecentConfig {
                     nodes: n,
                     seed: SEED,
                     ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        _ => {
-            let r = run_qstore_bank(
-                QStoreConfig {
+                };
+                run_bank(Rc::new(DecentCluster::new(cfg)), n, &spec)
+            }
+            _ => {
+                let cfg = QStoreConfig {
                     nodes: n,
                     seed: SEED,
                     ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
+                };
+                run_bank(Rc::new(QStoreCluster::new(cfg)), n, &spec)
+            }
+        };
+        r.throughput
     });
     let groups = mixes
         .iter()

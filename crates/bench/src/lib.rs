@@ -2,14 +2,17 @@
 //!
 //! [`harness`] holds one function per experiment (Figs. 5, 6, 7, 9, 10,
 //! Table 8, plus the ablations DESIGN.md calls out); [`table`] renders
-//! results as aligned text and CSV. The `repro` binary is the command-line
-//! front end; the Criterion benches sample representative configurations
-//! of the same harness.
+//! results as aligned text and CSV, and `repro perf` prints its BENCH
+//! reports through one typed JSON writer. The `repro` binary is the
+//! command-line front end; the Criterion benches sample representative
+//! configurations of the same harness.
 
 #![warn(missing_docs)]
 
 pub mod chaos_cli;
+mod coverage;
 pub mod harness;
+mod json;
 pub mod mc_cli;
 pub mod perf_cli;
 pub mod table;
@@ -50,7 +53,7 @@ pub mod quick {
 use std::path::PathBuf;
 
 /// Print a [`harness::Figure`] as text tables and write one CSV per group.
-pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) {
+pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
     for group in &fig.groups {
         let mut headers = vec![fig.x_label.clone()];
         headers.extend(fig.series.iter().cloned());
@@ -71,9 +74,8 @@ pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) {
                 fig.name,
                 group.title.to_lowercase().replace([' ', '%'], "_")
             );
-            if let Err(e) = table::write_csv(&dir.join(fname), &headers, &rows) {
-                eprintln!("warning: CSV write failed: {e}");
-            }
+            table::write_csv(&dir.join(fname), &headers, &rows)?;
         }
     }
+    Ok(())
 }

@@ -19,6 +19,7 @@ use qrdtm_mc::{
 };
 use qrdtm_qstore::QStoreBug;
 
+use crate::coverage::Coverage;
 use crate::harness;
 
 const MC_PROTOS: [McProto; 4] = [
@@ -272,6 +273,16 @@ fn replay_file(path: &Path) -> i32 {
     }
 }
 
+/// What `mc --smoke` must cover before it may pass: the Q-Store arm ran,
+/// and the checkers caught both Q-Store injected bugs.
+fn smoke_coverage() -> Coverage {
+    Coverage::new([
+        ("qstore", 1),
+        ("skip-tag-check", 1),
+        ("ack-before-fsync", 1),
+    ])
+}
+
 /// The fixed smoke suite `scripts/check.sh` runs: ≥10k distinct schedules
 /// across the four protocols at the 3-node/2-object/2-txn scope with zero
 /// violations, plus a checker-validation stage where deliberately broken
@@ -308,11 +319,13 @@ fn smoke() -> i32 {
     });
 
     let mut ok = true;
+    let mut coverage = smoke_coverage();
     let mut total_distinct = 0u64;
     let mut total_runs = 0u64;
     for (scope, runs, distinct, depth, exhausted, cex) in results {
         total_distinct += distinct;
         total_runs += runs;
+        coverage.add(label(scope.proto), 1);
         println!(
             "[{:<6}] runs={:>5} distinct={:>5} max_depth={:>3} exhausted={} => {}",
             label(scope.proto),
@@ -335,29 +348,15 @@ fn smoke() -> i32 {
     // reproduce after a trace text round-trip — otherwise the zero
     // violations above prove nothing.
     let validations = [
-        (
-            "skip-vote-check",
-            Scope {
-                injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-                ..Scope::smoke(McProto::Qr(NestingMode::Flat))
-            },
-        ),
-        (
-            "skip-tag-check",
-            Scope {
-                injected_bug: Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-                ..Scope::smoke(McProto::QStore)
-            },
-        ),
-        (
-            "ack-before-fsync",
-            Scope {
-                injected_bug: Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-                ..Scope::smoke(McProto::QStore)
-            },
-        ),
+        ("skip-vote-check", McProto::Qr(NestingMode::Flat)),
+        ("skip-tag-check", McProto::QStore),
+        ("ack-before-fsync", McProto::QStore),
     ];
-    for (bug_name, bug_scope) in validations {
+    for (bug_name, proto) in validations {
+        let bug_scope = Scope {
+            injected_bug: parse_bug(bug_name),
+            ..Scope::smoke(proto)
+        };
         println!(
             "\nchecker validation: injected bug {bug_name} on {}",
             label(bug_scope.proto)
@@ -383,6 +382,7 @@ fn smoke() -> i32 {
                     .ok();
                 match replayed {
                     Some(out) if !out.violations.is_empty() => {
+                        coverage.add(bug_name, 1);
                         println!(
                             "    caught, minimized to {} choice(s), replays from text:",
                             trace.choices.len()
@@ -405,6 +405,10 @@ fn smoke() -> i32 {
         eprintln!("\nmc smoke: only {total_distinct} distinct schedules (< 10000)");
         ok = false;
     }
+    for short in coverage.shortfalls() {
+        eprintln!("\nmc smoke: {short}");
+        ok = false;
+    }
     if ok {
         println!(
             "\nmc smoke: {total_distinct} distinct schedules ({total_runs} runs) across 4 \
@@ -414,5 +418,30 @@ fn smoke() -> i32 {
     } else {
         eprintln!("\nmc smoke: FAILED ({secs:.1}s)");
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_needs_the_qstore_arm_and_both_qstore_bugs_caught() {
+        let mut c = smoke_coverage();
+        for arm in ["qr", "qr-cn", "qr-chk"] {
+            c.add(arm, 1);
+        }
+        c.add("skip-vote-check", 1);
+        c.add("skip-tag-check", 1);
+        assert_eq!(
+            c.shortfalls(),
+            [
+                "qstore reached 0, needs at least 1",
+                "ack-before-fsync reached 0, needs at least 1"
+            ]
+        );
+        c.add("qstore", 1);
+        c.add("ack-before-fsync", 1);
+        assert!(c.shortfalls().is_empty());
     }
 }

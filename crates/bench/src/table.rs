@@ -33,9 +33,12 @@ pub fn render(headers: &[String], rows: &[Vec<String>]) -> String {
 }
 
 /// Write the same data as CSV (quotes unnecessary for our numeric cells).
+/// An error names the file it was writing.
 pub fn write_csv(path: &Path, headers: &[String], rows: &[Vec<String>]) -> std::io::Result<()> {
+    let named =
+        |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
     if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir).map_err(named)?;
     }
     let mut s = String::new();
     s.push_str(&headers.join(","));
@@ -44,7 +47,7 @@ pub fn write_csv(path: &Path, headers: &[String], rows: &[Vec<String>]) -> std::
         s.push_str(&row.join(","));
         s.push('\n');
     }
-    std::fs::write(path, s)
+    std::fs::write(path, s).map_err(named)
 }
 
 /// Format a float with sensible precision for tables.

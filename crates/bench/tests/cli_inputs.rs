@@ -1,4 +1,5 @@
-//! Out-of-range CLI values print usage and exit 2 instead of panicking.
+//! Out-of-range CLI values print usage and exit 2 instead of panicking,
+//! and a CSV that cannot be written fails the run.
 
 use std::process::Command;
 
@@ -34,4 +35,23 @@ fn mc_rejects_zero_nodes() {
 fn mc_rejects_fewer_than_two_objects() {
     assert_rejected(&["mc", "--objects", "0"]);
     assert_rejected(&["mc", "--objects", "1"]);
+}
+
+#[test]
+fn a_failed_csv_write_fails_the_run() {
+    // A regular file as the parent "directory" makes every CSV write fail.
+    for cmd in ["table8", "fig9"] {
+        let file = std::env::temp_dir().join(format!("repro-csv-{}-{cmd}", std::process::id()));
+        std::fs::write(&file, "").expect("temp file");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([cmd, "--quick", "--out"])
+            .arg(file.join("results"))
+            .output()
+            .expect("repro runs");
+        let _ = std::fs::remove_file(&file);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "repro {cmd}: {stderr}");
+        assert!(stderr.contains("CSV write failed"), "repro {cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "repro {cmd}: {stderr}");
+    }
 }

@@ -28,7 +28,7 @@ use std::rc::Rc;
 use qrdtm_core::{ObjVal, ObjectId};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
-use qrdtm_workloads::protocol_bank::{audit, transfer};
+use qrdtm_workloads::protocol_bank::{spawn_bank_clients, BankSpec};
 
 use crate::checkers::{
     check_balances, check_detection_latency, check_durability, check_goodput_reconvergence,
@@ -288,34 +288,13 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         );
         Some((control, tallies))
     } else {
-        // One set of clients per node; a client whose node is down idles
-        // until it comes back (a crashed node runs no workload).
-        for node in 0..nodes as u32 {
-            for _ in 0..spec.clients_per_node {
-                let p = Rc::clone(&proto);
-                let stop = Rc::clone(&stop);
-                let s = sim.clone();
-                let spec = *spec;
-                sim.spawn(async move {
-                    while !stop.get() {
-                        if !s.is_alive(NodeId(node)) {
-                            s.sleep(spec.probe).await;
-                            continue;
-                        }
-                        let a = s.rand_below(spec.accounts);
-                        let mut b = s.rand_below(spec.accounts);
-                        if b == a {
-                            b = (b + 1) % spec.accounts;
-                        }
-                        if s.rand_below(100) < u64::from(spec.read_pct) {
-                            audit(&*p, NodeId(node), ObjectId(a), ObjectId(b)).await;
-                        } else {
-                            transfer(&*p, NodeId(node), ObjectId(a), ObjectId(b), 5).await;
-                        }
-                    }
-                });
-            }
-        }
+        let mix = BankSpec {
+            accounts: spec.accounts,
+            read_pct: spec.read_pct,
+            clients_per_node: spec.clients_per_node,
+            ..BankSpec::default()
+        };
+        spawn_bank_clients(&proto, nodes, &mix, spec.probe, Rc::clone(&stop));
         None
     };
 

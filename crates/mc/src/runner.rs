@@ -14,11 +14,12 @@ use std::rc::Rc;
 
 use qrdtm_chaos::{check_balances, check_durability, ChaosTarget};
 use qrdtm_core::{
-    check_abort_targets, check_checkpoint_restores, Abort, Cluster, DtmConfig, DtmProtocol,
-    InjectedBug, LatencySpec, NestingMode, ObjVal, ObjectId,
+    check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
+    NestingMode, ObjVal, ObjectId,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EventInfo, NodeId, Scheduler, Sim, SimDuration, SimMessage, SimTime};
+use qrdtm_workloads::protocol_bank::transfer;
 
 use crate::strategies::ChoicePolicy;
 
@@ -319,35 +320,6 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
     }
 }
 
-/// Spawn one Q-Store transfer client: flat read-modify-write of both
-/// accounts through the [`DtmProtocol`] surface, retrying on requeue.
-fn spawn_qstore_transfer(
-    cluster: &Rc<QStoreCluster>,
-    node: NodeId,
-    from: ObjectId,
-    to: ObjectId,
-    amount: i64,
-) {
-    let c = Rc::clone(cluster);
-    cluster.sim().spawn(async move {
-        let mut tx = c.begin(node);
-        loop {
-            let attempt: Result<(), Abort> = async {
-                let a = c.read(&mut tx, from).await?.expect_int();
-                let b = c.read(&mut tx, to).await?.expect_int();
-                c.write(&mut tx, from, ObjVal::Int(a - amount)).await?;
-                c.write(&mut tx, to, ObjVal::Int(b + amount)).await?;
-                c.commit(&mut tx).await
-            }
-            .await;
-            match attempt {
-                Ok(()) => return,
-                Err(abort) => c.restart(&mut tx, abort).await,
-            }
-        }
-    });
-}
-
 /// Q-Store schedule: same workload, with the batch-oriented battery —
 /// serializability, balance conservation, and batch atomicity (no commit
 /// may observe state from an unacknowledged or later epoch). The QR
@@ -394,7 +366,10 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         let from = ObjectId(i as u64 % scope.objects);
         let to = ObjectId((i as u64 + 1) % scope.objects);
         let node = NodeId((i % scope.nodes) as u32);
-        spawn_qstore_transfer(&cluster, node, from, to, 1 + i as i64);
+        // One flat read-modify-write of both accounts through the
+        // `DtmProtocol` surface, retrying on requeue.
+        let c = Rc::clone(&cluster);
+        sim.spawn(async move { transfer(&*c, node, from, to, 1 + i as i64).await });
     }
     // The ack-before-fsync bug is only observable through a crash: the
     // buggy planner reports an epoch committed the moment it is sealed, so

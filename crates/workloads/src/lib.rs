@@ -28,6 +28,4 @@ pub use open_loop::{
     run_open_loop, spawn_open_loop, LoadControl, LoadTallies, OpenLoopResult, OpenLoopSpec,
     RateSchedule,
 };
-pub use protocol_bank::{
-    run_bank, run_decent_bank, run_qr_bank, run_qstore_bank, run_tfa_bank, BankRunResult, BankSpec,
-};
+pub use protocol_bank::{run_bank, spawn_bank_clients, BankRunResult, BankSpec};

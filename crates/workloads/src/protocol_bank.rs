@@ -3,17 +3,16 @@
 //!
 //! Section VI-D of the paper compares QR-DTM, HyFlow (TFA) and Decent-STM
 //! on the Bank benchmark. Each protocol used to carry its own hand-wired
-//! driver loop; with the [`DtmProtocol`] trait there is exactly one —
-//! [`run_bank`] — and thin per-protocol constructors ([`run_qr_bank`],
-//! [`run_tfa_bank`], [`run_decent_bank`]) that only assemble the cluster.
-//! Every client draws the same account/mix stream from the protocol's own
+//! driver loop; with the [`DtmProtocol`] trait there is exactly one
+//! closed-loop client, [`spawn_bank_clients`], which [`run_bank`] and the
+//! chaos nemesis both drive. Callers only assemble the cluster. Every
+//! client draws the same account/mix stream from the protocol's own
 //! simulator RNG, so runs stay deterministic per seed.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
-use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_core::{Cluster, DtmConfig, DtmProtocol, ObjVal, ObjectId, SimHosted};
-use qrdtm_qstore::{QStoreCluster, QStoreConfig};
+use qrdtm_core::{DtmProtocol, ObjVal, ObjectId, SimHosted};
 use qrdtm_sim::{NodeId, SimDuration};
 
 /// Fig. 9 bank workload shape.
@@ -98,6 +97,48 @@ pub async fn audit<P: DtmProtocol>(p: &P, node: NodeId, a: ObjectId, b: ObjectId
     }
 }
 
+/// Spawn `spec.clients_per_node` closed-loop bank clients on each of
+/// `nodes` nodes. Each client draws two distinct accounts and then the
+/// read/write mix from the simulator RNG, runs an [`audit`] or a
+/// [`transfer`], and repeats until `stop` is set. A client whose node is
+/// down idles in steps of `idle` until the node comes back, since a
+/// crashed node runs no workload. Only the mix fields of `spec` are read.
+pub fn spawn_bank_clients<P: SimHosted + 'static>(
+    proto: &Rc<P>,
+    nodes: usize,
+    spec: &BankSpec,
+    idle: SimDuration,
+    stop: Rc<Cell<bool>>,
+) {
+    let sim = proto.sim().clone();
+    for node in 0..nodes as u32 {
+        for _ in 0..spec.clients_per_node {
+            let p = Rc::clone(proto);
+            let stop = Rc::clone(&stop);
+            let s = sim.clone();
+            let spec = *spec;
+            sim.spawn(async move {
+                while !stop.get() {
+                    if !s.is_alive(NodeId(node)) {
+                        s.sleep(idle).await;
+                        continue;
+                    }
+                    let a = s.rand_below(spec.accounts);
+                    let mut b = s.rand_below(spec.accounts);
+                    if b == a {
+                        b = (b + 1) % spec.accounts;
+                    }
+                    if s.rand_below(100) < u64::from(spec.read_pct) {
+                        audit(&*p, NodeId(node), ObjectId(a), ObjectId(b)).await;
+                    } else {
+                        transfer(&*p, NodeId(node), ObjectId(a), ObjectId(b), 5).await;
+                    }
+                }
+            });
+        }
+    }
+}
+
 /// Run the closed-loop bank mix on any simulator-hosted [`DtmProtocol`]
 /// cluster with `nodes` nodes: warm up, reset counters, measure for
 /// `spec.duration`. (The closed loop spawns simulator tasks and pumps
@@ -113,27 +154,10 @@ pub fn run_bank<P: SimHosted + 'static>(
         proto.preload(ObjectId(i), ObjVal::Int(1_000));
     }
     let sim = proto.sim().clone();
-    for node in 0..nodes as u32 {
-        for _ in 0..spec.clients_per_node {
-            let p = Rc::clone(&proto);
-            let spec = *spec;
-            sim.spawn(async move {
-                loop {
-                    let s = p.sim();
-                    let a = s.rand_below(spec.accounts);
-                    let mut b = s.rand_below(spec.accounts);
-                    if b == a {
-                        b = (b + 1) % spec.accounts;
-                    }
-                    if s.rand_below(100) < u64::from(spec.read_pct) {
-                        audit(&*p, NodeId(node), ObjectId(a), ObjectId(b)).await;
-                    } else {
-                        transfer(&*p, NodeId(node), ObjectId(a), ObjectId(b), 5).await;
-                    }
-                }
-            });
-        }
-    }
+    // The clients run for the whole measurement, so `stop` is never set,
+    // and no node fails, so the idle step is never taken.
+    let stop = Rc::new(Cell::new(false));
+    spawn_bank_clients(&proto, nodes, spec, SimDuration::from_millis(200), stop);
     sim.run_for(spec.warmup);
     proto.reset_protocol_stats();
     sim.reset_metrics();
@@ -147,35 +171,12 @@ pub fn run_bank<P: SimHosted + 'static>(
     }
 }
 
-/// Run the bank workload on a QR-DTM cluster (mode per `cfg`).
-pub fn run_qr_bank(cfg: DtmConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(Cluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a TFA (HyFlow) cluster.
-pub fn run_tfa_bank(cfg: TfaConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(TfaCluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a Decent-STM cluster.
-pub fn run_decent_bank(cfg: DecentConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(DecentCluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a Q-Store cluster — the bodies in
-/// [`transfer`]/[`audit`] run unchanged; only the cluster assembly
-/// differs.
-pub fn run_qstore_bank(cfg: QStoreConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(QStoreCluster::new(cfg)), nodes, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
+    use qrdtm_core::{Cluster, DtmConfig};
+    use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 
     fn quick() -> BankSpec {
         BankSpec {
@@ -187,57 +188,53 @@ mod tests {
         }
     }
 
+    /// The quick bank mix on `cluster`, which has `nodes` nodes.
+    fn bank<P: SimHosted + 'static>(cluster: P, nodes: usize) -> BankRunResult {
+        run_bank(Rc::new(cluster), nodes, &quick())
+    }
+
     #[test]
     fn qr_bank_commits() {
-        let r = run_qr_bank(
-            DtmConfig {
-                nodes: 10,
-                seed: 3,
-                ..Default::default()
-            },
-            &quick(),
-        );
+        let cfg = DtmConfig {
+            nodes: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let r = bank(Cluster::new(cfg), 10);
         assert!(r.commits > 0);
         assert!(r.throughput > 0.0);
     }
 
     #[test]
     fn tfa_bank_commits() {
-        let r = run_tfa_bank(
-            TfaConfig {
-                nodes: 10,
-                seed: 3,
-                ..Default::default()
-            },
-            &quick(),
-        );
+        let cfg = TfaConfig {
+            nodes: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let r = bank(TfaCluster::new(cfg), 10);
         assert!(r.commits > 0);
         assert!(r.throughput > 0.0);
     }
 
     #[test]
     fn decent_bank_commits() {
-        let r = run_decent_bank(
-            DecentConfig {
-                nodes: 10,
-                seed: 3,
-                ..Default::default()
-            },
-            &quick(),
-        );
-        assert!(r.commits > 0);
+        let cfg = DecentConfig {
+            nodes: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        assert!(bank(DecentCluster::new(cfg), 10).commits > 0);
     }
 
     #[test]
     fn qstore_bank_commits() {
-        let r = run_qstore_bank(
-            QStoreConfig {
-                nodes: 10,
-                seed: 3,
-                ..Default::default()
-            },
-            &quick(),
-        );
+        let cfg = QStoreConfig {
+            nodes: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let r = bank(QStoreCluster::new(cfg), 10);
         assert!(r.commits > 0);
         assert!(r.throughput > 0.0);
     }
@@ -247,22 +244,21 @@ mod tests {
         // The paper's Fig. 9 ordering (HyFlow > Decent-STM) should hold for
         // any reasonable window: unicast 5 ms RTTs against multicast
         // consensus at 30 ms RTTs.
-        let spec = quick();
-        let t = run_tfa_bank(
-            TfaConfig {
+        let t = bank(
+            TfaCluster::new(TfaConfig {
                 nodes: 10,
                 seed: 5,
                 ..Default::default()
-            },
-            &spec,
+            }),
+            10,
         );
-        let d = run_decent_bank(
-            DecentConfig {
+        let d = bank(
+            DecentCluster::new(DecentConfig {
                 nodes: 10,
                 seed: 5,
                 ..Default::default()
-            },
-            &spec,
+            }),
+            10,
         );
         assert!(
             t.throughput > d.throughput,
@@ -274,17 +270,19 @@ mod tests {
 
     #[test]
     fn bank_runs_are_deterministic() {
-        let spec = quick();
-        for (a, b) in [
-            (
-                run_tfa_bank(TfaConfig::default(), &spec),
-                run_tfa_bank(TfaConfig::default(), &spec),
-            ),
-            (
-                run_qr_bank(DtmConfig::default(), &spec),
-                run_qr_bank(DtmConfig::default(), &spec),
-            ),
-        ] {
+        let tfa = || {
+            bank(
+                TfaCluster::new(TfaConfig::default()),
+                TfaConfig::default().nodes,
+            )
+        };
+        let qr = || {
+            bank(
+                Cluster::new(DtmConfig::default()),
+                DtmConfig::default().nodes,
+            )
+        };
+        for (a, b) in [(tfa(), tfa()), (qr(), qr())] {
             assert_eq!(a.commits, b.commits);
             assert_eq!(a.messages, b.messages);
         }

@@ -24,95 +24,27 @@ diff -r results target/results
 diff results_full.txt target/results_full.txt
 
 echo "==> chaos smoke (fault injection + invariant checks, incl. qstore batch atomicity)"
-chaos_out=$(cargo run --quiet --release -p qrdtm-bench -- chaos --smoke)
-echo "$chaos_out"
-grep -q '^\[qstore' <<<"$chaos_out" || {
-    echo "error: chaos smoke did not run the qstore arm" >&2
-    exit 1
-}
+# Each smoke suite exits nonzero on any invariant violation and on any
+# coverage shortfall (an arm that did not run, a counter that never fired).
+cargo run --quiet --release -p qrdtm-bench -- chaos --smoke
 
 echo "==> chaos detector smoke (self-healing membership, no oracle)"
 cargo run --quiet --release -p qrdtm-bench -- chaos --smoke --detector
 
 echo "==> chaos amnesia smoke (durable replicas, WAL replay + quorum repair)"
-amnesia_out=$(cargo run --quiet --release -p qrdtm-bench -- chaos --smoke --amnesia)
-echo "$amnesia_out"
-# The qstore arms (batch-WAL replay, torn batch tails, planner amnesia)
-# must actually have run — 20 seeds' worth of report lines.
-qstore_amnesia_runs=$(grep -c '^\[qstore' <<<"$amnesia_out" || true)
-if [ "$qstore_amnesia_runs" -lt 20 ]; then
-    echo "error: chaos amnesia smoke ran only $qstore_amnesia_runs qstore arm(s) (< 20)" >&2
-    exit 1
-fi
-grep -q 'batch WAL (qstore)' <<<"$amnesia_out" || {
-    echo "error: chaos amnesia smoke is missing the qstore batch-WAL section" >&2
-    exit 1
-}
+cargo run --quiet --release -p qrdtm-bench -- chaos --smoke --amnesia
 
 echo "==> chaos overload smoke (open-loop surges, admission control, retry budgets)"
-overload_out=$(cargo run --quiet --release -p qrdtm-bench -- chaos --smoke --overload)
-echo "$overload_out"
-# All six families must take the open-loop grid, the metastability
-# checker must prove it can catch an unprotected collapse, and the
-# protection counters must all have fired.
-overload_runs=$(grep -c 'overload shed:' <<<"$overload_out" || true)
-if [ "$overload_runs" -lt 120 ]; then
-    echo "error: chaos overload smoke ran only $overload_runs runs (< 120)" >&2
-    exit 1
-fi
-for want in 'metastable=yes (expected)' 'admission_shed=' \
-    'chaos overload smoke: all invariants held'; do
-    grep -q "$want" <<<"$overload_out" || {
-        echo "error: chaos overload smoke output is missing $want" >&2
-        exit 1
-    }
-done
+cargo run --quiet --release -p qrdtm-bench -- chaos --smoke --overload
 
 echo "==> mc smoke (bounded schedule exploration + checker validation)"
-mc_out=$(cargo run --quiet --release -p qrdtm-bench -- mc --smoke)
-echo "$mc_out"
-for want in '^\[qstore' 'skip-tag-check' 'ack-before-fsync'; do
-    grep -q "$want" <<<"$mc_out" || {
-        echo "error: mc smoke output is missing $want (qstore arm not explored)" >&2
-        exit 1
-    }
-done
+cargo run --quiet --release -p qrdtm-bench -- mc --smoke
 
 echo "==> perf smoke (wall-clock baseline, TL2 backend, BENCH json)"
-# The CLI validates its own JSON and exits nonzero on serializability
-# violations or malformed output; the greps double-check the artifact has
-# the keys downstream tooling reads.
+# The CLI exits nonzero on a par serializability violation, an overload
+# goodput collapse or a wheel-vs-heap regression, and writes
+# BENCH_wheel_vs_heap.json next to the report.
 perf_json="${PERF_OUT:-target/BENCH_smoke.json}"
 cargo run --quiet --release -p qrdtm-bench -- perf --quick --out "$perf_json"
-for key in '"host"' '"sim"' '"par"' '"txns_per_sec"' '"peak_rss_kb"' \
-    '"write_heavy_grid"' '"batch_size"' '"epoch_latency_virtual_ns"' \
-    '"disk_fsync_virtual_ns"' '"overload_grid"' '"offered_load"' \
-    '"goodput"' '"shed"' '"deadline_aborts"' '"retry_budget_exhausted"' \
-    '"hot_loop_grid"' '"events_per_sec_wall"' '"wheel_vs_heap"' \
-    '"ratio_at_max_clients"'; do
-    grep -q "$key" "$perf_json" || {
-        echo "error: $perf_json is missing $key" >&2
-        exit 1
-    }
-done
-# The hot-loop grid runs both event-queue implementations in one process
-# and the CLI itself exits nonzero if the wheel's events/sec regresses
-# below its gate against the committed heap baseline; double-check the
-# comparison actually made it into the artifact with a sane ratio.
-ratio=$(grep -o '"ratio_at_max_clients": [0-9.]*' "$perf_json" | grep -o '[0-9.]*$')
-if [ -z "$ratio" ]; then
-    echo "error: $perf_json has no parseable ratio_at_max_clients" >&2
-    exit 1
-fi
-echo "hot-loop wheel-vs-heap ratio at max clients: $ratio"
-# Standalone wheel-vs-heap comparison artifact (CI uploads it next to the
-# full baseline): just the hot_loop_grid object, rewrapped as a document.
-cmp_json="$(dirname "$perf_json")/BENCH_wheel_vs_heap.json"
-{
-    printf '{\n'
-    sed -n '/"hot_loop_grid"/,/"ratio_at_max_clients"/p' "$perf_json" | sed '$ s/,$//'
-    printf '}\n'
-} >"$cmp_json"
-echo "wrote $cmp_json"
 
 echo "ok: all tier-1 checks passed"
