@@ -1,12 +1,12 @@
 //! What the nemesis needs from a protocol beyond [`DtmProtocol`]:
-//! which fault classes it can honestly be subjected to, how to crash and
-//! recover its nodes, and how to read back committed state for the
-//! checkers.
+//! which fault classes it can honestly be subjected to, the membership
+//! view its nodes crash and recover through, and how to read back
+//! committed state for the checkers.
 
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, TfaCluster};
-use qrdtm_core::{spawn_detector, Cluster, DetectorHandle, ObjectId, SimHosted};
+use qrdtm_core::{Cluster, CommitRecord, Membership, ObjectId, SimHosted};
 use qrdtm_qstore::QStoreCluster;
 use qrdtm_sim::NodeId;
 
@@ -75,24 +75,16 @@ impl FaultSupport {
 }
 
 /// A protocol the nemesis can drive: a simulator-hosted [`DtmProtocol`]
-/// plus fault hooks and
-/// committed-state access for the post-hoc checkers.
+/// plus fault hooks and committed-state access for the post-hoc checkers.
 pub trait ChaosTarget: SimHosted {
     /// Which fault classes this protocol may be subjected to.
     fn fault_support(&self) -> FaultSupport;
 
-    /// Crash-stop `node`, repairing whatever membership/quorum view the
-    /// protocol keeps. Returns false if the crash cannot be applied (e.g.
-    /// no quorum would survive) — the event is then skipped.
-    fn crash(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Recover a crashed node. Returns false if recovery is impossible.
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
+    /// The membership view the shared crash/recover verbs and failure
+    /// detector drive, or `None` for a target that keeps none (TFA and
+    /// Decent-STM, which take no crashes).
+    fn membership(self: Rc<Self>) -> Option<Rc<dyn Membership<Msg = Self::Msg>>> {
+        None
     }
 
     /// The node a [`FaultKind::CrashReadQuorum`] event should kill (the
@@ -114,63 +106,6 @@ pub trait ChaosTarget: SimHosted {
     /// The committed value of an integer object as a client reading after
     /// quiescence would see it.
     fn committed_int(&self, oid: ObjectId) -> Option<i64>;
-
-    /// Kill `node` **in the simulator only** — no view repair, no oracle
-    /// call. Detector-mode nemesis hook: the failure detector must notice
-    /// on its own. Returns false if inapplicable (target keeps no
-    /// self-healing view, node already dead, or no quorum would survive
-    /// once the detector reacts).
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Revive `node` in the simulator only; the detector is responsible
-    /// for rejoining it to the view (with state transfer).
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Start the target's failure detector, if it has one configured.
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        None
-    }
-
-    /// Whether the membership view currently includes `node` (trivially
-    /// true for targets without a self-healing view; the detector-mode
-    /// convergence checker compares this against network aliveness).
-    fn view_member(&self, node: NodeId) -> bool {
-        let _ = node;
-        true
-    }
-
-    /// The current view epoch, if the target keeps one (0 otherwise).
-    fn view_epoch(&self) -> u64 {
-        0
-    }
-
-    /// How long after a crash the detector may take to raise its suspicion
-    /// before the checker flags it (derived from the detector knobs;
-    /// `None` when no detector is configured).
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
-        None
-    }
-
-    /// Crash `node` with amnesia (volatile state lost, durable log keeps a
-    /// seeded prefix), repairing the membership view. Returns false if
-    /// inapplicable.
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Detector-mode flavour of [`ChaosTarget::crash_amnesia`]: network
-    /// kill + state loss only, the view learns nothing.
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
 
     /// Corrupt the tail of `node`'s durable log in place. Returns false if
     /// the target keeps no durable log (or it is empty).
@@ -209,6 +144,14 @@ pub trait ChaosTarget: SimHosted {
     }
 }
 
+/// `(object id, installed version)` of every write in a commit history.
+fn acked_writes(history: &[CommitRecord]) -> Vec<(u64, u64)> {
+    history
+        .iter()
+        .flat_map(|rec| rec.writes.iter().map(|(oid, _, v)| (oid.0, v.0)))
+        .collect()
+}
+
 impl ChaosTarget for Cluster {
     fn fault_support(&self) -> FaultSupport {
         FaultSupport {
@@ -218,12 +161,8 @@ impl ChaosTarget for Cluster {
         }
     }
 
-    fn crash(&self, node: NodeId) -> bool {
-        Cluster::fail_node(self, node).is_ok()
-    }
-
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        Cluster::recover_node(self, node).is_ok()
+    fn membership(self: Rc<Self>) -> Option<Rc<dyn Membership<Msg = Self::Msg>>> {
+        Some(self)
     }
 
     fn read_quorum_victim(&self) -> Option<NodeId> {
@@ -236,64 +175,13 @@ impl ChaosTarget for Cluster {
 
     fn history_violations(&self) -> Vec<String> {
         self.verify_history()
-            .into_iter()
+            .iter()
             .map(|v| v.to_string())
             .collect()
     }
 
     fn committed_int(&self, oid: ObjectId) -> Option<i64> {
         self.latest(oid).map(|(_, v)| v.expect_int())
-    }
-
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        // Same applicability rule as the oracle crash: never kill the last
-        // node that keeps the quorums alive — the detector could only
-        // refuse the ejection and the cluster would stall until heal.
-        if !self.sim().is_alive(node) || !self.quorum_survives_without(node) {
-            return false;
-        }
-        self.sim().fail_node(node);
-        true
-    }
-
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        if self.sim().is_alive(node) {
-            return false;
-        }
-        self.sim().recover_node(node);
-        true
-    }
-
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        self.config().detector.map(|_| spawn_detector(&self))
-    }
-
-    fn view_member(&self, node: NodeId) -> bool {
-        self.view_alive(node)
-    }
-
-    fn view_epoch(&self) -> u64 {
-        Cluster::view_epoch(self)
-    }
-
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
-        // Suspicion fires once silence exceeds the window; grant four more
-        // intervals of slack for heartbeat staggering, in-flight delivery
-        // and detector-tick quantization. A node that crashes right after
-        // rejoining is additionally covered by its state-transfer grace
-        // (the detector deliberately does not suspect a joiner whose
-        // heartbeats queue behind the transfer it was just charged).
-        self.config()
-            .detector
-            .map(|d| d.suspect_window() * 2 + d.interval * 4 + self.transfer_cost())
-    }
-
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && Cluster::crash_node_amnesia(self, node).is_ok()
-    }
-
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && Cluster::crash_amnesia_sim_only(self, node)
     }
 
     fn corrupt_tail(&self, node: NodeId) -> bool {
@@ -305,14 +193,7 @@ impl ChaosTarget for Cluster {
     }
 
     fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        self.history()
-            .iter()
-            .flat_map(|rec| {
-                rec.writes
-                    .iter()
-                    .map(|(oid, _, installed)| (oid.0, installed.0))
-            })
-            .collect()
+        acked_writes(&self.history())
     }
 
     fn retry_budget(&self) -> Option<(u64, u64, qrdtm_sim::SimDuration)> {
@@ -353,12 +234,8 @@ impl ChaosTarget for QStoreCluster {
         }
     }
 
-    fn crash(&self, node: NodeId) -> bool {
-        QStoreCluster::crash_node(self, node)
-    }
-
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        QStoreCluster::recover_crashed_node(self, node)
+    fn membership(self: Rc<Self>) -> Option<Rc<dyn Membership<Msg = Self::Msg>>> {
+        Some(self)
     }
 
     fn begin_history(&self) {
@@ -367,49 +244,13 @@ impl ChaosTarget for QStoreCluster {
 
     fn history_violations(&self) -> Vec<String> {
         self.verify_history()
-            .into_iter()
+            .iter()
             .map(|v| v.to_string())
             .collect()
     }
 
     fn committed_int(&self, oid: ObjectId) -> Option<i64> {
         self.latest(oid).map(|(_, v)| v.expect_int())
-    }
-
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        QStoreCluster::crash_sim_only(self, node)
-    }
-
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        QStoreCluster::recover_sim_only(self, node)
-    }
-
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        self.config()
-            .detector
-            .map(|_| QStoreCluster::start_detector(&self))
-    }
-
-    fn view_member(&self, node: NodeId) -> bool {
-        self.view_alive(node)
-    }
-
-    fn view_epoch(&self) -> u64 {
-        QStoreCluster::view_epoch(self)
-    }
-
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
-        self.config()
-            .detector
-            .map(|_| QStoreCluster::detection_bound(self))
-    }
-
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && QStoreCluster::crash_node_amnesia(self, node)
-    }
-
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && QStoreCluster::crash_amnesia_sim_only(self, node)
     }
 
     fn corrupt_tail(&self, node: NodeId) -> bool {
@@ -421,14 +262,7 @@ impl ChaosTarget for QStoreCluster {
     }
 
     fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        self.history()
-            .iter()
-            .flat_map(|rec| {
-                rec.writes
-                    .iter()
-                    .map(|(oid, _, installed)| (oid.0, installed.0))
-            })
-            .collect()
+        acked_writes(&self.history())
     }
 
     fn batch_atomicity_violations(&self) -> Vec<String> {

@@ -296,10 +296,7 @@ fn run_qstore_durable(seed: u64, events: usize) -> ChaosReport {
 
 /// A QR-CN run with the failure detector on and the oracle off.
 fn run_detector(seed: u64, events: usize) -> ChaosReport {
-    let spec = ChaosSpec {
-        detector: true,
-        ..spec()
-    };
+    let spec = spec();
     let plan = generate(seed, NODES as u32, spec.horizon, &FaultBudget::full(events));
     let cl = Rc::new(Cluster::new(DtmConfig {
         nodes: NODES,

@@ -1,23 +1,20 @@
 //! Failure detection: heartbeat-driven, suspicion-based membership.
 //!
-//! Everywhere else in the reproduction the quorum view is reconfigured by
-//! an *oracle* — tests and the nemesis call [`Cluster::fail_node`] /
-//! [`Cluster::recover_node`] directly, so the cluster is told who died.
-//! This module replaces the oracle with honest detection: every node emits
-//! periodic heartbeats through the simulated network (latency, partitions,
-//! gray slowness and all — see
+//! Replaces the membership oracle with honest detection, for every family
+//! behind [`Membership`]: every node emits periodic heartbeats through the
+//! simulated network (latency, partitions, gray slowness and all — see
 //! [`Sim::start_heartbeats`](qrdtm_sim::Sim::start_heartbeats)), and a
 //! detector task turns *missed* heartbeats into suspicions, suspicions
-//! into epoch-fenced view changes ([`Cluster::eject_node`]), and resumed
-//! heartbeats from a suspected node into rejoin-with-state-transfer
-//! ([`Cluster::recover_node`]).
+//! into epoch-fenced view changes ([`Membership::eject`]; for Q-Store a
+//! planner ejection fails the planner over), and resumed heartbeats from a
+//! suspected node into rejoin-with-state-transfer ([`Membership::rejoin`]).
 //!
 //! ## Semantics
 //!
 //! The detector models the paper's shared *Cluster Manager* (Fig. 4), so
-//! like the quorum view it is a single logical entity: one task reads the
-//! full observation matrix `last_hb[observer][sender]` and drives the
-//! shared view. Each tick it
+//! like the view it is a single logical entity: one task reads the full
+//! observation matrix `last_hb[observer][sender]` and drives the shared
+//! view. Each tick it
 //!
 //! 1. builds the **freshness graph** over view-alive nodes — an edge means
 //!    both endpoints heard each other within the suspicion window
@@ -30,11 +27,11 @@
 //!    would destroy the quorums (then the node stays: a stale member is
 //!    better than no view at all). A suspicion of a node the network still
 //!    considers alive is counted as a **false suspicion** — survivable by
-//!    construction, since ejection only changes the view and the vote
-//!    round re-validates everything;
+//!    construction, since ejection only changes the view and the commit
+//!    path re-validates everything;
 //! 4. rejoins every view-dead node some view-alive observer has heard
 //!    within the window (crash healed, partition healed, or the suspicion
-//!    was false all along) via the state-transferring `recover_node`.
+//!    was false all along) via the state-transferring rejoin.
 //!
 //! Everything is driven by the simulator's seeded clock and RNG, so
 //! suspicion timestamps, view epochs and rejoins are exactly reproducible
@@ -43,9 +40,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use qrdtm_sim::{Counter, EngineEventKind, HeartbeatConfig, NodeId, SimDuration, SimTime};
+use qrdtm_sim::{
+    Counter, EngineEventKind, HeartbeatConfig, NodeId, Sim, SimDuration, SimMessage, SimTime,
+};
 
-use crate::cluster::Cluster;
+use crate::membership::Membership;
 
 /// Knobs of the failure detector and the transport robustness that rides
 /// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
@@ -85,7 +84,7 @@ impl DetectorConfig {
         self.interval * u64::from(self.suspect_after)
     }
 
-    pub(crate) fn heartbeat(&self) -> HeartbeatConfig {
+    fn heartbeat(&self) -> HeartbeatConfig {
         HeartbeatConfig {
             interval: self.interval,
             jitter: self.jitter,
@@ -95,65 +94,50 @@ impl DetectorConfig {
 }
 
 /// Handle on a running detector task (see [`spawn_detector`]).
-///
-/// The handle is deliberately message-type-agnostic (the teardown is a
-/// boxed callback, not a `Sim<Msg>`): other protocol families host their
-/// own detector task over their own wire type and hand back the same
-/// handle shape through `ChaosTarget::start_detector`.
-pub struct DetectorHandle {
+pub struct DetectorHandle<M: SimMessage> {
     stop: Rc<Cell<bool>>,
-    on_stop: Box<dyn Fn()>,
+    sim: Sim<M>,
 }
 
-impl DetectorHandle {
-    /// Build a handle from a shared stop flag and a teardown callback run
-    /// on [`stop`](Self::stop) (typically `Sim::stop_heartbeats`).
-    pub fn new(stop: Rc<Cell<bool>>, on_stop: impl Fn() + 'static) -> Self {
-        DetectorHandle {
-            stop,
-            on_stop: Box::new(on_stop),
-        }
-    }
-
+impl<M: SimMessage> DetectorHandle<M> {
     /// Stop the detector task (at its next tick) and the heartbeat layer.
     /// The membership view stays as the detector last left it.
     pub fn stop(&self) {
         self.stop.set(true);
-        (self.on_stop)();
+        self.sim.stop_heartbeats();
     }
 }
 
-/// Start the heartbeat layer and the detector task for `cluster`, per
-/// [`DtmConfig::detector`](crate::DtmConfig::detector) (which must be set).
+/// Start the heartbeat layer and the detector task for `m`, whose config
+/// must arm a detector ([`Membership::detector_config`]).
 ///
-/// From this point on the cluster self-heals: no oracle calls to
-/// [`Cluster::fail_node`] / [`Cluster::recover_node`] are needed — kill or
-/// heal nodes in the simulator and the view follows within a bounded
-/// number of heartbeat intervals.
-pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
-    let cfg = cluster
-        .config()
-        .detector
-        .expect("spawn_detector requires DtmConfig::detector");
-    let sim = cluster.sim().clone();
+/// From this point on the cluster self-heals: no oracle calls are needed —
+/// kill or heal nodes in the simulator and the view follows within
+/// [`detection_bound`](crate::membership::detection_bound).
+pub fn spawn_detector<M: Membership + ?Sized + 'static>(m: &Rc<M>) -> DetectorHandle<M::Msg> {
+    let cfg = m
+        .detector_config()
+        .expect("spawn_detector requires a detector in the cluster's config");
+    let sim = m.sim().clone();
     sim.start_heartbeats(cfg.heartbeat());
     let stop = Rc::new(Cell::new(false));
-    let handle = DetectorHandle::new(Rc::clone(&stop), {
-        let sim = sim.clone();
-        move || sim.stop_heartbeats()
-    });
-    let cluster = Rc::clone(cluster);
+    let m = Rc::clone(m);
+    let stopped = Rc::clone(&stop);
     sim.spawn(async move {
-        let mut st = DetectorState::new(cluster.config().nodes);
+        let nodes = m.sim().num_nodes();
+        let mut st = DetectorState {
+            suspected_at: vec![SimTime::ZERO; nodes],
+            grace_until: vec![SimTime::ZERO; nodes],
+        };
         loop {
-            cluster.sim().sleep(cfg.interval).await;
-            if stop.get() {
+            m.sim().sleep(cfg.interval).await;
+            if stopped.get() {
                 return;
             }
-            tick(&cluster, &cfg, &mut st);
+            tick(&*m, &cfg, &mut st);
         }
     });
-    handle
+    DetectorHandle { stop, sim }
 }
 
 /// Per-node bookkeeping the detector keeps across ticks.
@@ -171,20 +155,11 @@ struct DetectorState {
     grace_until: Vec<SimTime>,
 }
 
-impl DetectorState {
-    fn new(nodes: usize) -> Self {
-        DetectorState {
-            suspected_at: vec![SimTime::ZERO; nodes],
-            grace_until: vec![SimTime::ZERO; nodes],
-        }
-    }
-}
-
 /// One detector evaluation over the simulator's heartbeat observation
 /// matrix.
-fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
-    let sim = cluster.sim();
-    let nodes = cluster.config().nodes;
+fn tick<M: Membership + ?Sized>(m: &M, cfg: &DetectorConfig, st: &mut DetectorState) {
+    let sim = m.sim();
+    let nodes = sim.num_nodes();
     let now = sim.now();
     let window = cfg.suspect_window();
     let fresh = |observer: NodeId, sender: NodeId| {
@@ -192,7 +167,7 @@ fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
     };
     let trusted: Vec<NodeId> = (0..nodes as u32)
         .map(NodeId)
-        .filter(|&n| cluster.view_alive(n))
+        .filter(|&n| m.view_alive(n))
         .collect();
 
     // Reference partition: largest bidirectionally-fresh component.
@@ -209,7 +184,7 @@ fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
         // Outside the reference component: suspect. Ejection fails only
         // when the view would lose its quorums without the node; then the
         // suspect stays (and is re-examined next tick).
-        if cluster.eject_node(n).is_err() {
+        if !m.eject(n) {
             continue;
         }
         st.suspected_at[n.index()] = now;
@@ -217,21 +192,21 @@ fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
         if sim.is_alive(n) {
             sim.bump(Counter::FalseSuspicions);
         }
-        sim.emit_engine_event(EngineEventKind::NodeSuspected, n, cluster.view_epoch());
+        sim.emit_engine_event(EngineEventKind::NodeSuspected, n, m.view_epoch());
     }
 
     // Rejoin: a view-dead node is back once some view-alive observer has
     // heard it *after* the ejection and within the window (crash healed,
     // partition healed, or the suspicion was false all along). View-only
-    // — rejoin_node never resurrects the node in the network; that is the
+    // — rejoin never resurrects the node in the network; that is the
     // oracle's (or nemesis's) business.
     for v in (0..nodes as u32).map(NodeId) {
-        if cluster.view_alive(v) {
+        if m.view_alive(v) {
             continue;
         }
         let heard = (0..nodes as u32)
             .map(NodeId)
-            .filter(|&o| o != v && cluster.view_alive(o))
+            .filter(|&o| o != v && m.view_alive(o))
             .map(|o| sim.last_heartbeat(o, v))
             .max()
             .unwrap_or(SimTime::ZERO);
@@ -239,10 +214,10 @@ fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
         // heartbeat start (last_hb seeds at start time), so a node that
         // never beat is not rejoined by the seed value.
         if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= window {
-            if let Ok(transfer) = cluster.rejoin_node(v) {
+            if let Some(transfer) = m.rejoin(v) {
                 st.grace_until[v.index()] = now + transfer + window;
                 sim.bump(Counter::Rejoins);
-                sim.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
+                sim.emit_engine_event(EngineEventKind::NodeRejoined, v, m.view_epoch());
             }
         }
     }
@@ -250,14 +225,7 @@ fn tick(cluster: &Cluster, cfg: &DetectorConfig, st: &mut DetectorState) {
 
 /// Largest connected component of the bidirectional-freshness graph over
 /// `trusted`; ties break to the component containing the lowest node id.
-///
-/// Public so every protocol family's detector picks the reference
-/// partition with the same rule (the Q-Store detector reuses it over its
-/// own heartbeat matrix).
-pub fn reference_component(
-    trusted: &[NodeId],
-    fresh: &dyn Fn(NodeId, NodeId) -> bool,
-) -> Vec<NodeId> {
+fn reference_component(trusted: &[NodeId], fresh: &dyn Fn(NodeId, NodeId) -> bool) -> Vec<NodeId> {
     let mut best: Vec<NodeId> = Vec::new();
     let mut seen: Vec<NodeId> = Vec::new();
     for &start in trusted {

@@ -56,6 +56,7 @@ mod cluster;
 mod engine;
 pub use engine::repair;
 pub mod history;
+pub mod membership;
 pub mod msg;
 mod object;
 pub mod pool;
@@ -67,14 +68,12 @@ mod txid;
 pub use cluster::{
     Cluster, DtmConfig, InjectedBug, LatencySpec, LockPolicy, OverloadConfig, QuorumView,
 };
-pub use engine::{
-    reference_component, spawn_detector, Client, DetectorConfig, DetectorHandle, DurabilityConfig,
-    Tx,
-};
+pub use engine::{spawn_detector, Client, DetectorConfig, DetectorHandle, DurabilityConfig, Tx};
 pub use history::{
     check_abort_targets, check_checkpoint_restores, CommitRecord, HistoryRecorder,
     StructuralViolation, Violation,
 };
+pub use membership::Membership;
 pub use msg::{Msg, ValEntry, ValidationKind};
 pub use object::{ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version};
 pub use pool::Payload;

@@ -5,9 +5,12 @@
 use std::rc::Rc;
 
 use qrdtm_core::{
-    spawn_detector, Cluster, DetectorConfig, DtmConfig, LatencySpec, ObjVal, ObjectId,
+    spawn_detector, Cluster, DetectorConfig, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId,
 };
 use qrdtm_sim::{NodeId, SimDuration};
+
+mod common;
+use common::{bank_accounts, spawn_bank_clients, total_balance};
 
 fn detector_cfg(seed: u64) -> DtmConfig {
     DtmConfig {
@@ -18,55 +21,6 @@ fn detector_cfg(seed: u64) -> DtmConfig {
         detector: Some(DetectorConfig::default()),
         ..Default::default()
     }
-}
-
-/// Run a closed-loop transfer workload between `accounts` accounts from a
-/// few clients while the given faults happen, then assert conservation and
-/// serializability.
-fn bank_accounts(cluster: &Cluster, accounts: u32) {
-    for a in 0..accounts {
-        cluster.preload(ObjectId(u64::from(a)), ObjVal::Int(1000));
-    }
-}
-
-fn spawn_bank_clients(cluster: &Rc<Cluster>, accounts: u32, until: SimDuration) {
-    for c in 0..3u32 {
-        let client = cluster.client(NodeId(3 + c));
-        let sim = cluster.sim().clone();
-        let deadline = sim.now() + until;
-        cluster.sim().spawn(async move {
-            let mut i = c;
-            while sim.now() < deadline {
-                let from = ObjectId(u64::from(i % accounts));
-                let to = ObjectId(u64::from((i + 1) % accounts));
-                i += 1;
-                if from == to {
-                    continue;
-                }
-                client
-                    .run(|tx| async move {
-                        let a = tx.read(from).await?.expect_int();
-                        let b = tx.read(to).await?.expect_int();
-                        tx.write(from, ObjVal::Int(a - 10)).await?;
-                        tx.write(to, ObjVal::Int(b + 10)).await?;
-                        Ok(())
-                    })
-                    .await;
-            }
-        });
-    }
-}
-
-fn total_balance(cluster: &Cluster, accounts: u32) -> i64 {
-    (0..accounts)
-        .map(|a| {
-            cluster
-                .latest(ObjectId(u64::from(a)))
-                .unwrap()
-                .1
-                .expect_int()
-        })
-        .sum()
 }
 
 #[test]

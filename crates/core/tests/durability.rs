@@ -3,8 +3,14 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, ObjVal, ObjectId};
+use qrdtm_core::membership::{crash_amnesia, recover};
+use qrdtm_core::{
+    Cluster, DetectorConfig, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId,
+};
 use qrdtm_sim::{NodeId, SimDuration};
+
+mod common;
+use common::{bank_accounts, spawn_bank_clients, total_balance};
 
 fn durable_cfg(seed: u64) -> DtmConfig {
     DtmConfig {
@@ -16,52 +22,7 @@ fn durable_cfg(seed: u64) -> DtmConfig {
 }
 
 const ACCOUNTS: u32 = 8;
-
-fn preload_accounts(cluster: &Cluster) {
-    for a in 0..ACCOUNTS {
-        cluster.preload(ObjectId(u64::from(a)), ObjVal::Int(1000));
-    }
-}
-
-fn spawn_bank_clients(cluster: &Rc<Cluster>, until: SimDuration) {
-    for c in 0..3u32 {
-        let client = cluster.client(NodeId(3 + c));
-        let sim = cluster.sim().clone();
-        let deadline = sim.now() + until;
-        cluster.sim().spawn(async move {
-            let mut i = c;
-            while sim.now() < deadline {
-                let from = ObjectId(u64::from(i % ACCOUNTS));
-                let to = ObjectId(u64::from((i + 1) % ACCOUNTS));
-                i += 1;
-                if from == to {
-                    continue;
-                }
-                client
-                    .run(|tx| async move {
-                        let a = tx.read(from).await?.expect_int();
-                        let b = tx.read(to).await?.expect_int();
-                        tx.write(from, ObjVal::Int(a - 10)).await?;
-                        tx.write(to, ObjVal::Int(b + 10)).await?;
-                        Ok(())
-                    })
-                    .await;
-            }
-        });
-    }
-}
-
-fn total_balance(cluster: &Cluster) -> i64 {
-    (0..ACCOUNTS)
-        .map(|a| {
-            cluster
-                .latest(ObjectId(u64::from(a)))
-                .unwrap()
-                .1
-                .expect_int()
-        })
-        .sum()
-}
+const TOTAL: i64 = 1000 * ACCOUNTS as i64;
 
 /// Right after readmission (before any further commit lands) the
 /// recovered node must hold the max-version committed copy of every
@@ -80,17 +41,17 @@ fn assert_caught_up(cluster: &Cluster, node: NodeId) {
 #[test]
 fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
     let cluster = Rc::new(Cluster::new(durable_cfg(11)));
-    preload_accounts(&cluster);
+    bank_accounts(&cluster, ACCOUNTS);
     cluster.enable_history();
     let sim = cluster.sim().clone();
-    spawn_bank_clients(&cluster, SimDuration::from_secs(3));
+    spawn_bank_clients(&cluster, ACCOUNTS, SimDuration::from_secs(3));
 
     let victim = cluster.read_quorum()[0];
     let cl = Rc::clone(&cluster);
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(800)).await;
-        cl.crash_node_amnesia(victim).unwrap();
+        assert!(crash_amnesia(&*cl, victim));
         assert!(
             cl.peek(victim, ObjectId(0)).is_none(),
             "amnesia wipes the volatile object table"
@@ -111,16 +72,16 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
         "commits during the outage had to be repaired"
     );
     assert!(m.repair_bytes > 0);
-    assert_eq!(total_balance(&cluster), 1000 * i64::from(ACCOUNTS));
+    assert_eq!(total_balance(&cluster, ACCOUNTS), TOTAL);
     assert!(cluster.verify_history().is_empty(), "serializable");
 }
 
 #[test]
 fn corrupt_tail_is_detected_and_repaired_on_restart() {
     let cluster = Rc::new(Cluster::new(durable_cfg(12)));
-    preload_accounts(&cluster);
+    bank_accounts(&cluster, ACCOUNTS);
     let sim = cluster.sim().clone();
-    spawn_bank_clients(&cluster, SimDuration::from_secs(2));
+    spawn_bank_clients(&cluster, ACCOUNTS, SimDuration::from_secs(2));
 
     let victim = cluster.read_quorum()[0];
     let cl = Rc::clone(&cluster);
@@ -131,7 +92,7 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
             cl.corrupt_wal_tail(victim, 2),
             "durable log had records to corrupt"
         );
-        cl.crash_node_amnesia(victim).unwrap();
+        assert!(crash_amnesia(&*cl, victim));
         sim2.sleep(SimDuration::from_millis(600)).await;
         cl.recover_node(victim).unwrap();
         assert_caught_up(&cl, victim);
@@ -142,29 +103,34 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
     let m = sim.metrics();
     assert!(m.torn_tails >= 1, "the tear was detected at replay");
     assert!(m.log_replays >= 1);
-    assert_eq!(total_balance(&cluster), 1000 * i64::from(ACCOUNTS));
+    assert_eq!(total_balance(&cluster, ACCOUNTS), TOTAL);
 }
 
 #[test]
 fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
-    // The detector flavour: the network dies and the state is lost, but
-    // the quorum view is told nothing; ejection and readmission go through
-    // eject_node/rejoin_node, which must run the same honest recovery.
-    let cluster = Rc::new(Cluster::new(durable_cfg(13)));
-    preload_accounts(&cluster);
+    // The detector flavour: with a detector configured the crash verb
+    // kills the network and loses the state but tells the quorum view
+    // nothing; ejection and readmission go through the eject/rejoin
+    // hooks, which must run the same honest recovery.
+    let cluster = Rc::new(Cluster::new(DtmConfig {
+        detector: Some(DetectorConfig::default()),
+        ..durable_cfg(13)
+    }));
+    bank_accounts(&cluster, ACCOUNTS);
     let sim = cluster.sim().clone();
-    spawn_bank_clients(&cluster, SimDuration::from_secs(2));
+    spawn_bank_clients(&cluster, ACCOUNTS, SimDuration::from_secs(2));
 
     let victim = cluster.read_quorum()[0];
     let cl = Rc::clone(&cluster);
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(600)).await;
-        assert!(cl.crash_amnesia_sim_only(victim));
-        cl.eject_node(victim).unwrap();
+        assert!(crash_amnesia(&*cl, victim));
+        assert!(cl.view_alive(victim), "the sim-only crash leaves the view");
+        assert!(cl.eject(victim));
         sim2.sleep(SimDuration::from_millis(600)).await;
-        sim2.recover_node(victim);
-        let charged = cl.rejoin_node(victim).unwrap();
+        assert!(recover(&*cl, victim));
+        let charged = cl.rejoin(victim).unwrap();
         assert!(
             charged > SimDuration::ZERO,
             "amnesiac rejoin charges replay + repair time"
@@ -175,24 +141,24 @@ fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     sim.run_for(SimDuration::from_secs(2));
 
     let m = sim.metrics();
-    assert!(m.log_replays >= 1, "rejoin_node ran the honest recovery");
+    assert!(m.log_replays >= 1, "rejoin ran the honest recovery");
     assert!(m.repair_rounds >= 1);
-    assert_eq!(total_balance(&cluster), 1000 * i64::from(ACCOUNTS));
+    assert_eq!(total_balance(&cluster, ACCOUNTS), TOTAL);
 }
 
 #[test]
 fn durable_runs_are_deterministic_per_seed() {
     let run = |seed: u64| {
         let cluster = Rc::new(Cluster::new(durable_cfg(seed)));
-        preload_accounts(&cluster);
+        bank_accounts(&cluster, ACCOUNTS);
         let sim = cluster.sim().clone();
-        spawn_bank_clients(&cluster, SimDuration::from_secs(2));
+        spawn_bank_clients(&cluster, ACCOUNTS, SimDuration::from_secs(2));
         let victim = cluster.read_quorum()[0];
         let cl = Rc::clone(&cluster);
         let sim2 = sim.clone();
         sim.spawn(async move {
             sim2.sleep(SimDuration::from_millis(500)).await;
-            cl.crash_node_amnesia(victim).unwrap();
+            assert!(crash_amnesia(&*cl, victim));
             sim2.sleep(SimDuration::from_millis(700)).await;
             cl.recover_node(victim).unwrap();
         });
@@ -205,7 +171,7 @@ fn durable_runs_are_deterministic_per_seed() {
             m.log_replays,
             m.repaired_objects,
             m.repair_bytes,
-            total_balance(&cluster),
+            total_balance(&cluster, ACCOUNTS),
         )
     };
     assert_eq!(run(21), run(21), "same seed, same trace");
@@ -217,5 +183,5 @@ fn durable_runs_are_deterministic_per_seed() {
 fn amnesia_without_durability_panics() {
     let cluster = Cluster::new(DtmConfig::default());
     cluster.preload(ObjectId(0), ObjVal::Int(1));
-    let _ = cluster.crash_node_amnesia(NodeId(1));
+    let _ = crash_amnesia(&cluster, NodeId(1));
 }

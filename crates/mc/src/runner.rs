@@ -13,6 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use qrdtm_chaos::{check_balances, check_durability, ChaosTarget};
+use qrdtm_core::membership::crash_amnesia;
 use qrdtm_core::{
     check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
     NestingMode, ObjVal, ObjectId,
@@ -389,7 +390,7 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
             while c.stats().commits == 0 {
                 s.sleep(SimDuration::from_micros(200)).await;
             }
-            if c.crash_node_amnesia(NodeId(0)) {
+            if crash_amnesia(&*c, NodeId(0)) {
                 s.sleep(SimDuration::from_millis(20)).await;
                 c.recover_crashed_node(NodeId(0));
             }

@@ -4,6 +4,7 @@
 
 use std::rc::Rc;
 
+use qrdtm_core::membership::crash_amnesia;
 use qrdtm_core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::NodeId;
@@ -62,7 +63,7 @@ fn amnesia_crash_replays_the_fsynced_prefix_and_repairs_the_rest() {
         for i in 0..3u64 {
             transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 5).await;
         }
-        assert!(c2.crash_node_amnesia(victim));
+        assert!(crash_amnesia(&*c2, victim));
         // ...and batches it misses while down, which replay cannot
         // resurrect: they must come from the quorum frontier.
         for i in 0..3u64 {
@@ -97,7 +98,7 @@ fn a_torn_tail_drops_whole_batches_and_repair_restores_them() {
             c2.corrupt_tail(victim, 1),
             "durable log had records to corrupt"
         );
-        assert!(c2.crash_node_amnesia(victim));
+        assert!(crash_amnesia(&*c2, victim));
         assert!(c2.recover_crashed_node(victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 3).await;
     });
@@ -136,7 +137,7 @@ fn snapshot_truncation_survives_amnesia() {
             )
             .await;
         }
-        assert!(c2.crash_node_amnesia(victim));
+        assert!(crash_amnesia(&*c2, victim));
         assert!(c2.recover_crashed_node(victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 2).await;
     });
@@ -160,7 +161,7 @@ fn durable_runs_are_deterministic_per_seed() {
             for i in 0..3u64 {
                 transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 4).await;
             }
-            assert!(c2.crash_node_amnesia(victim));
+            assert!(crash_amnesia(&*c2, victim));
             for i in 0..2u64 {
                 transfer(&c2, NodeId(3), ObjectId(i + 3), ObjectId(i + 4), 4).await;
             }
@@ -188,5 +189,5 @@ fn durable_runs_are_deterministic_per_seed() {
 #[should_panic(expected = "requires QStoreConfig::durability")]
 fn amnesia_without_durability_panics() {
     let c = cluster(QStoreConfig::default());
-    let _ = c.crash_node_amnesia(NodeId(1));
+    let _ = crash_amnesia(&*c, NodeId(1));
 }
