@@ -78,7 +78,7 @@ fn mc_usage() -> ! {
          \x20               [--dfs N] [--pct N] \
          [--inject-bug skip-vote-check|skip-epoch-fence|skip-tag-check|ack-before-fsync] \
          [--save-trace FILE]\n\
-         \x20      N >= 1 (>= 3 when qstore runs), K >= 2"
+         \x20      N >= 1 (>= 3 when qstore runs), K >= 2, T >= 1"
     );
     std::process::exit(2);
 }
@@ -121,9 +121,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
         }
     }
     // The quorum tree needs a node, Q-Store a majority of at least two,
-    // and a transfer two distinct objects.
+    // a transfer two distinct objects, and exploration a transaction.
     let qstore = a.protos.contains(&McProto::QStore);
-    if a.nodes < 1 || (qstore && a.nodes < 3) || a.objects < 2 {
+    if a.nodes < 1 || (qstore && a.nodes < 3) || a.objects < 2 || a.txns < 1 {
         mc_usage();
     }
     a

@@ -26,6 +26,18 @@ fn chaos_rejects_an_empty_horizon() {
 }
 
 #[test]
+fn chaos_rejects_an_empty_seed_range() {
+    assert_rejected(&["chaos", "--seeds", "0"]);
+    // The range would wrap past the last seed instead of running two.
+    assert_rejected(&["chaos", "--seed", "18446744073709551615", "--seeds", "2"]);
+}
+
+#[test]
+fn mc_rejects_an_empty_workload() {
+    assert_rejected(&["mc", "--txns", "0"]);
+}
+
+#[test]
 fn mc_rejects_zero_nodes() {
     assert_rejected(&["mc", "--nodes", "0"]);
     assert_rejected(&["mc", "--proto", "qstore", "--nodes", "2"]);
