@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> perfbench build (the benchmark compiles against the current crate APIs)"
+cargo build --release --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 
