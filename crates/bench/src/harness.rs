@@ -1,10 +1,11 @@
 //! Experiment harness: one function per table/figure of the paper.
 //!
-//! Each function sweeps the paper's parameter grid, runs every
-//! configuration (in parallel across OS threads — each simulation is
-//! single-threaded and deterministic), and returns structured rows that
-//! the `repro` binary prints and the Criterion benches sample.
+//! Each function sweeps the paper's parameter grid through one
+//! `Sweep`, runs every configuration (in parallel across OS threads —
+//! each simulation is single-threaded and deterministic), and returns
+//! structured rows that the `repro` binary prints.
 
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -141,62 +142,85 @@ pub struct FigureGroup {
     pub rows: Vec<(f64, Vec<f64>)>,
 }
 
-const MODES: [NestingMode; 3] = NestingMode::ALL;
-
-fn mode_sweep(
-    name: &str,
-    x_label: &str,
-    benches: &[Benchmark],
-    xs: &[(f64, WorkloadParams)],
-    quick: bool,
-    tweak: impl Fn(&mut DtmConfig, &mut RunSpec) + Sync,
-) -> Figure {
+/// The run shape every QR experiment but Fig. 10 uses: one closed-loop
+/// client per node, no failures, the quick or full window.
+fn spec(quick: bool, bench: Benchmark, params: WorkloadParams) -> RunSpec {
     let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in benches {
-        for (x, params) in xs {
-            for mode in MODES {
-                jobs.push((bench, *x, *params, mode));
+    RunSpec {
+        bench,
+        params,
+        warmup,
+        duration,
+        clients_per_node: 1,
+        failures: 0,
+    }
+}
+
+/// The one experiment sweep behind every figure, Table 8 and the
+/// ablations: a `groups × xs × series` grid whose cells all run through
+/// [`parallel_map`], in grid order.
+struct Sweep<'a, G, X, S> {
+    groups: &'a [G],
+    xs: &'a [X],
+    series: &'a [S],
+}
+
+impl<G, X, S> Sweep<'_, G, X, S>
+where
+    G: Copy + Send + Sync,
+    X: Copy + Send + Sync,
+    S: Copy + Send + Sync,
+{
+    /// Run `cell` on every grid cell: `rows[group][x][series]`.
+    fn rows<O: Send>(&self, cell: impl Fn(G, X, S) -> O + Sync) -> Vec<Vec<Vec<O>>> {
+        let mut cells = Vec::new();
+        for &g in self.groups {
+            for &x in self.xs {
+                for &s in self.series {
+                    cells.push((g, x, s));
+                }
             }
         }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, _x, params, mode)| {
-        let mut cfg = paper_cfg(mode);
-        let mut spec = RunSpec {
-            bench,
-            params,
-            warmup,
-            duration,
-            clients_per_node: 1,
-            failures: 0,
-        };
-        tweak(&mut cfg, &mut spec);
-        run(cfg, &spec)
-    });
-    let mut groups = Vec::new();
-    for &bench in benches {
-        let mut rows = Vec::new();
-        for (x, _) in xs {
-            let mut series = Vec::new();
-            for mode in MODES {
-                let idx = jobs
+        let mut out = parallel_map(cells, |(g, x, s)| cell(g, x, s)).into_iter();
+        self.groups
+            .iter()
+            .map(|_| {
+                self.xs
                     .iter()
-                    .position(|&(b, jx, _, m)| b == bench && jx == *x && m == mode)
-                    .expect("job present");
-                series.push(results[idx].throughput);
-            }
-            rows.push((*x, series));
-        }
-        groups.push(FigureGroup {
-            title: bench.name().to_string(),
-            rows,
-        });
+                    .map(|_| out.by_ref().take(self.series.len()).collect())
+                    .collect()
+            })
+            .collect()
     }
-    Figure {
-        name: name.to_string(),
-        x_label: x_label.to_string(),
-        series: MODES.iter().map(|m| m.to_string()).collect(),
-        groups,
+
+    /// The grid's throughputs as figure `name`: one group per `title`d
+    /// group, one row per `x`, one column per series.
+    fn figure(
+        &self,
+        name: &str,
+        x_label: &str,
+        title: fn(G) -> String,
+        x: fn(X) -> f64,
+        cell: impl Fn(G, X, S) -> f64 + Sync,
+    ) -> Figure
+    where
+        S: Display,
+    {
+        let groups = self
+            .groups
+            .iter()
+            .zip(self.rows(cell))
+            .map(|(&g, rows)| FigureGroup {
+                title: title(g),
+                rows: self.xs.iter().map(|&v| x(v)).zip(rows).collect(),
+            })
+            .collect();
+        Figure {
+            name: name.into(),
+            x_label: x_label.into(),
+            series: self.series.iter().map(S::to_string).collect(),
+            groups,
+        }
     }
 }
 
@@ -207,59 +231,19 @@ pub fn fig5(quick: bool) -> Figure {
     } else {
         (0..=10).map(|i| i * 10).collect()
     };
-    // Params vary per benchmark (objects) and per point (read %), so this
-    // sweep builds its own job list instead of using `mode_sweep`.
-    let benches = Benchmark::FIGURE_SET;
-    let mut groups = Vec::new();
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &benches {
-        for &pct in &pcts {
-            for mode in MODES {
-                let mut params = default_params(bench);
-                params.read_pct = pct;
-                jobs.push((bench, pct, params, mode));
-            }
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, _pct, params, mode)| {
-        let cfg = paper_cfg(mode);
-        run(
-            cfg,
-            &RunSpec {
-                bench,
-                params,
-                warmup,
-                duration,
-                clients_per_node: 1,
-                failures: 0,
-            },
-        )
-    });
-    for &bench in &benches {
-        let mut rows = Vec::new();
-        for &pct in &pcts {
-            let mut series = Vec::new();
-            for mode in MODES {
-                let idx = jobs
-                    .iter()
-                    .position(|&(b, p, _, m)| b == bench && p == pct && m == mode)
-                    .unwrap();
-                series.push(results[idx].throughput);
-            }
-            rows.push((f64::from(pct), series));
-        }
-        groups.push(FigureGroup {
-            title: bench.name().to_string(),
-            rows,
-        });
-    }
-    Figure {
-        name: "fig5".into(),
-        x_label: "read %".into(),
-        series: MODES.iter().map(|m| m.to_string()).collect(),
-        groups,
-    }
+    let grid = Sweep {
+        groups: &Benchmark::FIGURE_SET,
+        xs: &pcts,
+        series: &NestingMode::ALL,
+    };
+    let cell = |bench, read_pct, mode| {
+        let params = WorkloadParams {
+            read_pct,
+            ..default_params(bench)
+        };
+        run(paper_cfg(mode), &spec(quick, bench, params)).throughput
+    };
+    grid.figure("fig5", "read %", bench_title, f64::from, cell)
 }
 
 /// Fig. 6: throughput vs number of nested calls (1–5).
@@ -269,34 +253,19 @@ pub fn fig6(quick: bool) -> Figure {
     } else {
         vec![1, 2, 3, 4, 5]
     };
-    let benches = Benchmark::FIGURE_SET;
-    let xs: Vec<(f64, usize)> = calls.iter().map(|&c| (c as f64, c)).collect();
-    let xps: Vec<(f64, WorkloadParams)> = xs
-        .iter()
-        .map(|&(x, c)| {
-            (
-                x,
-                WorkloadParams {
-                    calls: c,
-                    ..default_params(Benchmark::Bank)
-                },
-            )
-        })
-        .collect();
-    let mut fig = mode_sweep(
-        "fig6",
-        "nested calls",
-        &benches,
-        &xps,
-        quick,
-        |cfg, spec| {
-            // Objects follow the benchmark default, not Bank's.
-            spec.params.objects = default_params(spec.bench).objects;
-            cfg.seed = SEED;
-        },
-    );
-    fig.name = "fig6".into();
-    fig
+    let grid = Sweep {
+        groups: &Benchmark::FIGURE_SET,
+        xs: &calls,
+        series: &NestingMode::ALL,
+    };
+    let cell = |bench, calls, mode| {
+        let params = WorkloadParams {
+            calls,
+            ..default_params(bench)
+        };
+        run(paper_cfg(mode), &spec(quick, bench, params)).throughput
+    };
+    grid.figure("fig6", "nested calls", bench_title, |c| c as f64, cell)
 }
 
 /// Fig. 7: throughput vs number of objects.
@@ -306,20 +275,23 @@ pub fn fig7(quick: bool) -> Figure {
     } else {
         vec![12, 24, 48, 96, 192]
     };
-    let benches = Benchmark::FIGURE_SET;
-    let xps: Vec<(f64, WorkloadParams)> = objects
-        .iter()
-        .map(|&o| {
-            (
-                o as f64,
-                WorkloadParams {
-                    objects: o,
-                    ..default_params(Benchmark::Bank)
-                },
-            )
-        })
-        .collect();
-    mode_sweep("fig7", "objects", &benches, &xps, quick, |_cfg, _spec| {})
+    let grid = Sweep {
+        groups: &Benchmark::FIGURE_SET,
+        xs: &objects,
+        series: &NestingMode::ALL,
+    };
+    let cell = |bench, objects, mode| {
+        let params = WorkloadParams {
+            objects,
+            ..default_params(bench)
+        };
+        run(paper_cfg(mode), &spec(quick, bench, params)).throughput
+    };
+    grid.figure("fig7", "objects", bench_title, |o| o as f64, cell)
+}
+
+fn bench_title(bench: Benchmark) -> String {
+    bench.name().into()
 }
 
 /// One row of Table 8: percentage change of QR-CN and QR-CHK vs flat in
@@ -342,55 +314,35 @@ pub struct Table8Row {
 
 /// Table 8: abort-rate and message deltas at the default workload shape.
 pub fn table8(quick: bool) -> Vec<Table8Row> {
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &Benchmark::FIGURE_SET {
-        for mode in MODES {
-            jobs.push((bench, mode));
+    let grid = Sweep {
+        groups: &Benchmark::FIGURE_SET,
+        xs: &[()],
+        series: &NestingMode::ALL,
+    };
+    let rows = grid
+        .rows(|bench, (), mode| run(paper_cfg(mode), &spec(quick, bench, default_params(bench))));
+    let msgs_per_commit = |r: &RunResult| r.messages as f64 / r.commits.max(1) as f64;
+    let abort_rate = |r: &RunResult| r.stats.abort_rate();
+    let delta = |a: f64, b: f64| {
+        if b.abs() < 1e-9 {
+            0.0
+        } else {
+            (a - b) / b * 100.0
         }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, mode)| {
-        run(
-            paper_cfg(mode),
-            &RunSpec {
-                bench,
-                params: default_params(bench),
-                warmup,
-                duration,
-                clients_per_node: 1,
-                failures: 0,
-            },
-        )
-    });
-    let get = |bench: Benchmark, mode: NestingMode| -> &RunResult {
-        let idx = jobs
-            .iter()
-            .position(|&(b, m)| b == bench && m == mode)
-            .unwrap();
-        &results[idx]
     };
     Benchmark::FIGURE_SET
         .iter()
-        .map(|&bench| {
-            let flat = get(bench, NestingMode::Flat);
-            let cn = get(bench, NestingMode::Closed);
-            let chk = get(bench, NestingMode::Checkpoint);
-            let msgs_per_commit = |r: &RunResult| r.messages as f64 / r.commits.max(1) as f64;
-            let abort_rate = |r: &RunResult| r.stats.abort_rate();
-            let delta = |a: f64, b: f64| {
-                if b.abs() < 1e-9 {
-                    0.0
-                } else {
-                    (a - b) / b * 100.0
-                }
-            };
+        .zip(rows.into_iter().flatten())
+        .map(|(bench, raw)| {
+            // `NestingMode::ALL` order: flat, closed, checkpoint.
+            let (flat, cn, chk) = (&raw[0], &raw[1], &raw[2]);
             Table8Row {
                 bench: bench.name().to_string(),
                 cn_abort_pct: delta(abort_rate(cn), abort_rate(flat)),
                 chk_abort_pct: delta(abort_rate(chk), abort_rate(flat)),
                 cn_msg_pct: delta(msgs_per_commit(cn), msgs_per_commit(flat)),
                 chk_msg_pct: delta(msgs_per_commit(chk), msgs_per_commit(flat)),
-                raw: vec![flat.clone(), cn.clone(), chk.clone()],
+                raw,
             }
         })
         .collect()
@@ -407,33 +359,28 @@ pub fn fig9(quick: bool) -> Figure {
         vec![4, 8, 13, 20, 28, 40]
     };
     let (warmup, duration) = windows(quick);
-    let mixes = [50u32, 90u32];
-    let mut jobs = Vec::new();
-    for &mix in &mixes {
-        for &n in &nodes {
-            for proto in 0..4usize {
-                jobs.push((mix, n, proto));
-            }
-        }
-    }
-    let accounts = 48u64;
-    let results = parallel_map(jobs.clone(), |(mix, n, proto)| {
+    let grid = Sweep {
+        groups: &[50u32, 90],
+        xs: &nodes,
+        series: &["QR-DTM", "HyFlow", "Decent-STM", "Q-Store"],
+    };
+    let cell = |read_pct, n, family| {
         let spec = BankSpec {
-            accounts,
-            read_pct: mix,
+            accounts: 48,
+            read_pct,
             warmup,
             duration,
             clients_per_node: 1,
         };
-        let r = match proto {
-            0 => {
+        let r = match family {
+            "QR-DTM" => {
                 let cfg = DtmConfig {
                     nodes: n,
                     ..paper_cfg(NestingMode::Flat)
                 };
                 run_bank(Rc::new(Cluster::new(cfg)), n, &spec)
             }
-            1 => {
+            "HyFlow" => {
                 let cfg = TfaConfig {
                     nodes: n,
                     seed: SEED,
@@ -441,7 +388,7 @@ pub fn fig9(quick: bool) -> Figure {
                 };
                 run_bank(Rc::new(TfaCluster::new(cfg)), n, &spec)
             }
-            2 => {
+            "Decent-STM" => {
                 let cfg = DecentConfig {
                     nodes: n,
                     seed: SEED,
@@ -459,42 +406,14 @@ pub fn fig9(quick: bool) -> Figure {
             }
         };
         r.throughput
-    });
-    let groups = mixes
-        .iter()
-        .map(|&mix| {
-            let rows = nodes
-                .iter()
-                .map(|&n| {
-                    let series = (0..4usize)
-                        .map(|proto| {
-                            let idx = jobs
-                                .iter()
-                                .position(|&(m, jn, p)| m == mix && jn == n && p == proto)
-                                .unwrap();
-                            results[idx]
-                        })
-                        .collect();
-                    (n as f64, series)
-                })
-                .collect();
-            FigureGroup {
-                title: format!("Bank {mix}% read"),
-                rows,
-            }
-        })
-        .collect();
-    Figure {
-        name: "fig9".into(),
-        x_label: "nodes".into(),
-        series: vec![
-            "QR-DTM".into(),
-            "HyFlow".into(),
-            "Decent-STM".into(),
-            "Q-Store".into(),
-        ],
-        groups,
-    }
+    };
+    grid.figure(
+        "fig9",
+        "nodes",
+        |mix| format!("Bank {mix}% read"),
+        |n| n as f64,
+        cell,
+    )
 }
 
 /// Fig. 10: throughput under increasing node failures (28 nodes, read
@@ -505,208 +424,150 @@ pub fn fig10(quick: bool) -> Figure {
     } else {
         (0..=8).collect()
     };
-    let benches = [Benchmark::Hashmap, Benchmark::Bst, Benchmark::Vacation];
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &benches {
-        for &f in &failures {
-            jobs.push((bench, f));
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, f)| {
-        let mut cfg = paper_cfg(NestingMode::Closed);
-        cfg.nodes = 28;
-        cfg.read_level = 0; // single-node read quorum initially
-                            // Server occupancy high enough that the singleton read quorum is a
-                            // genuine hot spot; spreading it is what produces the initial
-                            // throughput rise of Fig. 10.
-        cfg.service_time = SimDuration::from_millis(2);
-        run(
-            cfg,
-            &RunSpec {
-                bench,
-                params: WorkloadParams {
-                    read_pct: 50,
-                    calls: 2,
-                    // Plentiful objects: Fig. 10 isolates the quorum
-                    // bottleneck, not data contention.
-                    objects: 192,
-                },
-                warmup,
-                duration,
-                clients_per_node: 2,
-                failures: f,
-            },
-        )
-        .throughput
-    });
-    let groups = benches
-        .iter()
-        .map(|&bench| {
-            let rows = failures
-                .iter()
-                .map(|&f| {
-                    let idx = jobs
-                        .iter()
-                        .position(|&(b, jf)| b == bench && jf == f)
-                        .unwrap();
-                    (f as f64, vec![results[idx]])
-                })
-                .collect();
-            FigureGroup {
-                title: bench.name().to_string(),
-                rows,
-            }
-        })
-        .collect();
-    Figure {
-        name: "fig10".into(),
-        x_label: "failed nodes".into(),
-        series: vec!["QR-DTM".into()],
-        groups,
-    }
+    let grid = Sweep {
+        groups: &[Benchmark::Hashmap, Benchmark::Bst, Benchmark::Vacation],
+        xs: &failures,
+        series: &["QR-DTM"],
+    };
+    let cell = |bench, failures, _| {
+        let cfg = DtmConfig {
+            nodes: 28,
+            read_level: 0, // single-node read quorum initially
+            // Server occupancy high enough that the singleton read quorum
+            // is a genuine hot spot; spreading it is what produces the
+            // initial throughput rise of Fig. 10.
+            service_time: SimDuration::from_millis(2),
+            ..paper_cfg(NestingMode::Closed)
+        };
+        let params = WorkloadParams {
+            read_pct: 50,
+            calls: 2,
+            // Plentiful objects: Fig. 10 isolates the quorum bottleneck,
+            // not data contention.
+            objects: 192,
+        };
+        let spec = RunSpec {
+            clients_per_node: 2,
+            failures,
+            ..spec(quick, bench, params)
+        };
+        run(cfg, &spec).throughput
+    };
+    grid.figure("fig10", "failed nodes", bench_title, |f| f as f64, cell)
 }
 
-/// Ablation results (one figure per design knob DESIGN.md calls out).
+/// Ablation results (one figure per design knob DESIGN.md calls out),
+/// each a single-group, single-series sweep over the knob.
 pub fn ablations(quick: bool) -> Vec<Figure> {
-    let (warmup, duration) = windows(quick);
-    let base_spec = |bench| RunSpec {
-        bench,
-        params: default_params(bench),
-        warmup,
-        duration,
-        clients_per_node: 1,
-        failures: 0,
-    };
+    let base = |bench| spec(quick, bench, default_params(bench));
 
     // (a) Rqv on/off under QR-CN.
-    let rqv = {
-        let jobs: Vec<bool> = vec![true, false];
-        let results = parallel_map(jobs.clone(), |rqv| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.rqv = rqv;
-            run(cfg, &base_spec(Benchmark::SList)).throughput
-        });
-        Figure {
-            name: "ablation-rqv".into(),
-            x_label: "rqv".into(),
-            series: vec!["SList closed".into()],
-            groups: vec![FigureGroup {
-                title: "Rqv incremental validation".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&on, &t)| (if on { 1.0 } else { 0.0 }, vec![t]))
-                    .collect(),
-            }],
-        }
-    };
+    let rqv = Sweep {
+        groups: &["Rqv incremental validation"],
+        xs: &[true, false],
+        series: &["SList closed"],
+    }
+    .figure(
+        "ablation-rqv",
+        "rqv",
+        str::to_string,
+        |on| if on { 1.0 } else { 0.0 },
+        |_, rqv, _| {
+            let cfg = DtmConfig {
+                rqv,
+                ..paper_cfg(NestingMode::Closed)
+            };
+            run(cfg, &base(Benchmark::SList)).throughput
+        },
+    );
 
     // (b) Checkpoint threshold granularity under QR-CHK.
-    let thresh = {
-        let jobs: Vec<usize> = vec![1, 2, 4, 8];
-        let results = parallel_map(jobs.clone(), |t| {
-            let mut cfg = paper_cfg(NestingMode::Checkpoint);
-            cfg.chk_threshold = t;
-            run(cfg, &base_spec(Benchmark::Hashmap)).throughput
-        });
-        Figure {
-            name: "ablation-chk-threshold".into(),
-            x_label: "objects per checkpoint".into(),
-            series: vec!["Hashmap chk".into()],
-            groups: vec![FigureGroup {
-                title: "Checkpoint granularity".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&t, &x)| (t as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
+    let thresh = Sweep {
+        groups: &["Checkpoint granularity"],
+        xs: &[1usize, 2, 4, 8],
+        series: &["Hashmap chk"],
+    }
+    .figure(
+        "ablation-chk-threshold",
+        "objects per checkpoint",
+        str::to_string,
+        |t| t as f64,
+        |_, chk_threshold, _| {
+            let cfg = DtmConfig {
+                chk_threshold,
+                ..paper_cfg(NestingMode::Checkpoint)
+            };
+            run(cfg, &base(Benchmark::Hashmap)).throughput
+        },
+    );
 
     // (c) Read-quorum level policy.
-    let level = {
-        let jobs: Vec<usize> = vec![0, 1, 2];
-        let results = parallel_map(jobs.clone(), |l| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.read_level = l;
-            run(cfg, &base_spec(Benchmark::Bank)).throughput
-        });
-        Figure {
-            name: "ablation-read-level".into(),
-            x_label: "read quorum level".into(),
-            series: vec!["Bank closed".into()],
-            groups: vec![FigureGroup {
-                title: "Read quorum selection".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&l, &x)| (l as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
+    let level = Sweep {
+        groups: &["Read quorum selection"],
+        xs: &[0usize, 1, 2],
+        series: &["Bank closed"],
+    }
+    .figure(
+        "ablation-read-level",
+        "read quorum level",
+        str::to_string,
+        |l| l as f64,
+        |_, read_level, _| {
+            let cfg = DtmConfig {
+                read_level,
+                ..paper_cfg(NestingMode::Closed)
+            };
+            run(cfg, &base(Benchmark::Bank)).throughput
+        },
+    );
 
     // (d) Backoff policy under flat nesting (where retries are hottest).
-    let backoff = {
-        let jobs: Vec<u64> = vec![0, 1, 4, 16];
-        let results = parallel_map(jobs.clone(), |ms| {
-            let mut cfg = paper_cfg(NestingMode::Flat);
-            cfg.backoff_base = SimDuration::from_millis(ms);
-            run(cfg, &base_spec(Benchmark::SList)).throughput
-        });
-        Figure {
-            name: "ablation-backoff".into(),
-            x_label: "backoff base (ms)".into(),
-            series: vec!["SList flat".into()],
-            groups: vec![FigureGroup {
-                title: "Abort backoff".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&b, &x)| (b as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
+    let backoff = Sweep {
+        groups: &["Abort backoff"],
+        xs: &[0u64, 1, 4, 16],
+        series: &["SList flat"],
+    }
+    .figure(
+        "ablation-backoff",
+        "backoff base (ms)",
+        str::to_string,
+        |ms| ms as f64,
+        |_, ms, _| {
+            let cfg = DtmConfig {
+                backoff_base: SimDuration::from_millis(ms),
+                ..paper_cfg(NestingMode::Flat)
+            };
+            run(cfg, &base(Benchmark::SList)).throughput
+        },
+    );
 
     // (e) Network model: uniform vs jittered vs metric-space (cc-DTM) at
     // the same mean budget.
-    let netmodel = {
-        let jobs: Vec<(&'static str, LatencySpec)> = vec![
-            ("const", LatencySpec::Const(SimDuration::from_millis(15))),
-            (
-                "jittered",
-                LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
-            ),
-            (
-                "metric",
-                // Unit-square placement with ~0.52 mean distance: per-unit
-                // chosen so the mean one-way latency is ~15 ms.
-                LatencySpec::Metric(SimDuration::from_millis(29), SimDuration::from_millis(2)),
-            ),
-        ];
-        let results = parallel_map(jobs.clone(), |(_, latency)| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.latency = latency;
-            run(cfg, &base_spec(Benchmark::Bank)).throughput
-        });
-        Figure {
-            name: "ablation-network-model".into(),
-            x_label: "model (0=const 1=jittered 2=metric)".into(),
-            series: vec!["Bank closed".into()],
-            groups: vec![FigureGroup {
-                title: "Latency model".into(),
-                rows: jobs
-                    .iter()
-                    .enumerate()
-                    .zip(&results)
-                    .map(|((i, _), &x)| (i as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
+    let models = [
+        LatencySpec::Const(SimDuration::from_millis(15)),
+        LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
+        // Unit-square placement with ~0.52 mean distance: per-unit chosen
+        // so the mean one-way latency is ~15 ms.
+        LatencySpec::Metric(SimDuration::from_millis(29), SimDuration::from_millis(2)),
+    ];
+    let netmodel = Sweep {
+        groups: &["Latency model"],
+        xs: &[0usize, 1, 2],
+        series: &["Bank closed"],
+    }
+    .figure(
+        "ablation-network-model",
+        "model (0=const 1=jittered 2=metric)",
+        str::to_string,
+        |i| i as f64,
+        |_, i, _| {
+            let cfg = DtmConfig {
+                latency: models[i].clone(),
+                ..paper_cfg(NestingMode::Closed)
+            };
+            run(cfg, &base(Benchmark::Bank)).throughput
+        },
+    );
 
     vec![rqv, thresh, level, backoff, netmodel]
 }
@@ -725,6 +586,23 @@ mod tests {
     fn parallel_map_empty_input() {
         let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn sweep_rows_follow_grid_order() {
+        let grid = Sweep {
+            groups: &[1, 2],
+            xs: &[10, 20],
+            series: &[100, 200, 300],
+        };
+        let rows = grid.rows(|g, x, s| g + x + s);
+        assert_eq!(
+            rows,
+            vec![
+                vec![vec![111, 211, 311], vec![121, 221, 321]],
+                vec![vec![112, 212, 312], vec![122, 222, 322]],
+            ]
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl ChaosTarget for Cluster {
     }
 
     fn read_quorum_victim(&self) -> Option<NodeId> {
-        self.read_quorum().first().copied()
+        Cluster::read_quorum_victim(self)
     }
 
     fn begin_history(&self) {
@@ -310,5 +310,26 @@ mod tests {
         };
         assert!(pause_only.allows(&FaultKind::Crash { node: 1 }));
         assert!(!pause_only.allows(&FaultKind::CrashAmnesia { node: 1 }));
+    }
+
+    /// Under a detector, a sim-only crash leaves the victim in the view
+    /// until its ejection; `crash-rq` must pick the next live member of
+    /// the read quorum, not the dead node the crash verb then refuses.
+    #[test]
+    fn read_quorum_victim_skips_a_crashed_member_the_detector_still_holds() {
+        use qrdtm_core::{membership::crash, DetectorConfig, DtmConfig};
+
+        let cluster = Cluster::new(DtmConfig {
+            detector: Some(DetectorConfig::default()),
+            ..Default::default()
+        });
+        let first = cluster.read_quorum()[0];
+        assert!(crash(&cluster, first), "sim-only crash applies");
+        assert!(cluster.view_alive(first), "no detector ran: still in view");
+        let victim = ChaosTarget::read_quorum_victim(&cluster).expect("a live member");
+        assert_ne!(victim, first);
+        assert!(cluster.sim().is_alive(victim), "the victim is alive");
+        assert!(cluster.read_quorum().contains(&victim));
+        assert_eq!(Some(victim), Cluster::read_quorum_victim(&cluster));
     }
 }

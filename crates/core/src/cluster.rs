@@ -156,10 +156,11 @@ pub struct DtmConfig {
     /// see [`InjectedBug`]). `None` (the default) is the correct protocol.
     pub injected_bug: Option<InjectedBug>,
     /// Graceful-degradation machinery for open-loop overload: client-side
-    /// retry token budget, deadline-aware early abort, hedge suppression
-    /// under saturation pressure, and the admission-queue bound open-loop
-    /// drivers enforce. `None` (the default) keeps the engine's behaviour
-    /// byte-for-byte identical to the pre-overload model.
+    /// retry token budget, deadline-aware early abort and hedge
+    /// suppression under saturation pressure. The admission-queue bound
+    /// open-loop drivers enforce is `OpenLoopSpec::queue_bound` in
+    /// `qrdtm-workloads`, not a knob here. `None` (the default) keeps the
+    /// engine's behaviour byte-for-byte identical to the pre-overload model.
     pub overload: Option<OverloadConfig>,
     /// Event-queue implementation for the underlying sim (timing wheel by
     /// default; the heap baseline stays selectable for differential tests
@@ -173,8 +174,9 @@ pub struct DtmConfig {
 /// dropped or suppressed.
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadConfig {
-    /// Bound on each node's admission queue: open-loop drivers shed (count,
-    /// never enqueue) arrivals that would push the queue past this depth.
+    /// Not read by the engine or any driver: open-loop runs shed arrivals
+    /// past `OpenLoopSpec::queue_bound` in `qrdtm-workloads`. Kept because
+    /// the perfbench benchmark sets it.
     pub queue_bound: usize,
     /// Capacity of the client-side retry token bucket. Every transaction
     /// retry draws one token; an empty bucket delays the retry until a
@@ -515,6 +517,15 @@ impl Cluster {
     /// in the paper's experiments).
     pub fn read_quorum(&self) -> Vec<NodeId> {
         self.inner.quorum.borrow().read_q.clone()
+    }
+
+    /// The Fig. 10 failure victim: the first network-alive member of the
+    /// current read quorum. Under a failure detector the view can still
+    /// hold a crashed node that has not been ejected yet; it is skipped.
+    pub fn read_quorum_victim(&self) -> Option<NodeId> {
+        self.read_quorum()
+            .into_iter()
+            .find(|&n| self.sim.is_alive(n))
     }
 
     /// Current write quorum.

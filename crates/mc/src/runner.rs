@@ -219,8 +219,70 @@ pub fn run_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome 
     }
 }
 
-/// QR-family schedule: the full battery including durability no-regress
-/// and the structural nesting/checkpoint assertions.
+/// What the shared post-run battery found, plus the committed state the
+/// fingerprints hash.
+struct Battery {
+    violations: Vec<String>,
+    balances: Vec<(u64, Option<i64>)>,
+    acked: Vec<(u64, u64)>,
+}
+
+impl Battery {
+    /// Fold the final balances and acked versions into a fingerprint.
+    fn hash_state(&self, fp: &mut Fnv) {
+        for (o, b) in &self.balances {
+            fp.write(*o);
+            fp.write(b.map_or(u64::MAX, |b| b as u64));
+        }
+        for (o, v) in &self.acked {
+            fp.write(*o);
+            fp.write(*v);
+        }
+    }
+}
+
+/// The checks every arm runs after its schedule, in report order: stuck
+/// tasks, history serializability, balance conservation, batch atomicity
+/// (empty for per-transaction protocols) and durability no-regress — every
+/// write version acked to a client must still be committed state after
+/// any crash and takeover.
+fn battery<T: ChaosTarget>(scope: &Scope, target: &T) -> Battery {
+    let mut violations: Vec<String> = Vec::new();
+    let stuck = target.sim().live_tasks();
+    if stuck > 0 {
+        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
+    }
+    violations.extend(target.history_violations());
+    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
+        .map(|o| (o, target.committed_int(ObjectId(o))))
+        .collect();
+    let expected_total = INITIAL_BALANCE * scope.objects as i64;
+    violations.extend(
+        check_balances(&balances, expected_total)
+            .iter()
+            .map(ToString::to_string),
+    );
+    violations.extend(
+        target
+            .batch_atomicity_violations()
+            .into_iter()
+            .map(|v| format!("batch atomicity broken: {v}")),
+    );
+    let acked = target.acked_write_versions();
+    violations.extend(
+        check_durability(&acked, |oid| target.committed_version(ObjectId(oid)))
+            .iter()
+            .map(ToString::to_string),
+    );
+    Battery {
+        violations,
+        balances,
+        acked,
+    }
+}
+
+/// QR-family schedule: the shared battery plus the structural
+/// nesting/checkpoint assertions.
 fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
     let cfg = DtmConfig {
         nodes: scope.nodes,
@@ -260,36 +322,15 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
     sim.run_until(SimTime::ZERO + HORIZON);
     sim.clear_scheduler();
 
-    let stuck = sim.live_tasks();
+    let mut checked = battery(scope, &*cluster);
     let stats = cluster.stats();
     let metrics = sim.metrics();
-
-    let mut violations: Vec<String> = Vec::new();
-    if stuck > 0 {
-        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
-    }
-    violations.extend(cluster.history_violations());
-    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
-        .map(|o| (o, cluster.committed_int(ObjectId(o))))
-        .collect();
-    let expected_total = INITIAL_BALANCE * scope.objects as i64;
-    violations.extend(
-        check_balances(&balances, expected_total)
-            .iter()
-            .map(ToString::to_string),
-    );
-    let acked = cluster.acked_write_versions();
-    violations.extend(
-        check_durability(&acked, |oid| cluster.committed_version(ObjectId(oid)))
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
+    checked.violations.extend(
         check_abort_targets(&metrics.engine_event_log)
             .iter()
             .map(ToString::to_string),
     );
-    violations.extend(
+    checked.violations.extend(
         check_checkpoint_restores(&metrics.engine_event_log)
             .iter()
             .map(ToString::to_string),
@@ -301,14 +342,7 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
     fp.write(stats.ct_aborts + stats.chk_rollbacks);
     fp.write(metrics.sent_total);
     fp.write(metrics.events);
-    for (o, b) in &balances {
-        fp.write(*o);
-        fp.write(b.map_or(u64::MAX, |b| b as u64));
-    }
-    for (o, v) in &acked {
-        fp.write(*o);
-        fp.write(*v);
-    }
+    checked.hash_state(&mut fp);
 
     let rec = rec.borrow();
     RunOutcome {
@@ -316,16 +350,16 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
         groups: rec.groups.clone(),
         commits: stats.commits,
         aborts: stats.root_aborts + stats.ct_aborts + stats.chk_rollbacks,
-        violations,
+        violations: checked.violations,
         fingerprint: fp.finish(),
     }
 }
 
-/// Q-Store schedule: same workload, with the batch-oriented battery —
-/// serializability, balance conservation, and batch atomicity (no commit
-/// may observe state from an unacknowledged or later epoch). The QR
-/// engine-event assertions do not apply; tight timeouts and constant
-/// latency keep every fan-out a real tie group for the scheduler.
+/// Q-Store schedule: same workload and the shared battery, whose batch
+/// atomicity check bites here (no commit may observe state from an
+/// unacknowledged or later epoch). The QR engine-event assertions do not
+/// apply; tight timeouts and constant latency keep every fan-out a real
+/// tie group for the scheduler.
 fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
     let cfg = QStoreConfig {
         nodes: scope.nodes,
@@ -399,40 +433,9 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
     sim.run_until(SimTime::ZERO + HORIZON);
     sim.clear_scheduler();
 
-    let stuck = sim.live_tasks();
+    let checked = battery(scope, &*cluster);
     let stats = cluster.stats();
     let metrics = sim.metrics();
-
-    let mut violations: Vec<String> = Vec::new();
-    if stuck > 0 {
-        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
-    }
-    violations.extend(cluster.verify_history().iter().map(ToString::to_string));
-    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
-        .map(|o| (o, ChaosTarget::committed_int(&*cluster, ObjectId(o))))
-        .collect();
-    let expected_total = INITIAL_BALANCE * scope.objects as i64;
-    violations.extend(
-        check_balances(&balances, expected_total)
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
-        cluster
-            .batch_atomicity_violations()
-            .into_iter()
-            .map(|v| format!("batch atomicity broken: {v}")),
-    );
-    // Durability no-regress: every write version acked to a client must
-    // still be committed state after any planner crash and takeover.
-    let acked = ChaosTarget::acked_write_versions(&*cluster);
-    violations.extend(
-        check_durability(&acked, |oid| {
-            ChaosTarget::committed_version(&*cluster, ObjectId(oid))
-        })
-        .iter()
-        .map(ToString::to_string),
-    );
 
     let (wal_records, wal_fsyncs) = cluster.wal_totals();
     let mut fp = Fnv::new();
@@ -444,14 +447,7 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
     fp.write(wal_fsyncs);
     fp.write(metrics.sent_total);
     fp.write(metrics.events);
-    for (o, b) in &balances {
-        fp.write(*o);
-        fp.write(b.map_or(u64::MAX, |b| b as u64));
-    }
-    for (o, v) in &acked {
-        fp.write(*o);
-        fp.write(*v);
-    }
+    checked.hash_state(&mut fp);
 
     let rec = rec.borrow();
     RunOutcome {
@@ -459,7 +455,7 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         groups: rec.groups.clone(),
         commits: stats.commits,
         aborts: stats.aborts,
-        violations,
+        violations: checked.violations,
         fingerprint: fp.finish(),
     }
 }

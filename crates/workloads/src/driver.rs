@@ -141,24 +141,8 @@ pub struct RunResult {
     pub stats: DtmStats,
     /// Total messages sent during the window.
     pub messages: u64,
-    /// Read-request messages (class 0).
-    pub read_msgs: u64,
-    /// Commit-protocol messages (classes 2, 4, 5).
-    pub commit_msgs: u64,
     /// Measurement window.
     pub window: SimDuration,
-}
-
-impl RunResult {
-    /// Aborts per commit.
-    pub fn abort_rate(&self) -> f64 {
-        self.stats.abort_rate()
-    }
-
-    /// Mean committed-transaction latency (ms).
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.stats.mean_latency_ms()
-    }
 }
 
 /// Execute one experiment run. Deterministic for a given `(cfg, spec)`.
@@ -179,10 +163,8 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
 
     // Fig. 10-style failures: shrink the alive set, growing the read quorum.
     for _ in 0..spec.failures {
-        let rq = cluster.read_quorum();
-        let victim = rq
-            .into_iter()
-            .find(|&n| sim.is_alive(n))
+        let victim = cluster
+            .read_quorum_victim()
             .expect("read quorum has an alive member");
         assert!(
             crash(&*cluster, victim),
@@ -220,15 +202,10 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
     sim.run_for(spec.duration);
 
     let stats = cluster.stats();
-    let m = sim.metrics();
     RunResult {
         throughput: stats.commits as f64 / spec.duration.as_secs_f64(),
         commits: stats.commits,
-        messages: m.sent_total,
-        read_msgs: m.sent(qrdtm_core::msg::class::READ_REQ),
-        commit_msgs: m.sent(qrdtm_core::msg::class::COMMIT_REQ)
-            + m.sent(qrdtm_core::msg::class::APPLY)
-            + m.sent(qrdtm_core::msg::class::ABORT_REQ),
+        messages: sim.metrics().sent_total,
         stats,
         window: spec.duration,
     }

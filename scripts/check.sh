@@ -5,14 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
+echo "==> cargo build --workspace --release --locked"
+cargo build --workspace --release --locked
 
 echo "==> perfbench build (the benchmark compiles against the current crate APIs)"
 cargo build --release --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "==> cargo test --workspace"
-cargo test --quiet --workspace
+echo "==> cargo test --workspace --locked"
+cargo test --quiet --workspace --locked
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
